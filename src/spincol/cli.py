@@ -27,7 +27,6 @@ from .collinearity import (
     SpinVector,
     a_matrix,
     analyze_collinearity,
-    col_along,
     spin_vector,
 )
 from .determinant import SpinorDeterminant, build_overlap_blocks, electron_counts, orthonormalize
@@ -192,7 +191,10 @@ def build_report(
     blocks = build_overlap_blocks(det)
     n_alpha, n_beta = electron_counts(blocks)
     decomposition = decompose_s2(blocks)
-    s2 = expect_s2(blocks)
+    sz2 = expect_sz2(blocks)
+    sminus_splus = expect_sminus_splus(blocks)
+    splus_sminus = expect_splus_sminus(blocks)
+    s2 = sz2 + 0.5 * (splus_sminus + sminus_splus)
     vector = spin_vector(blocks)
     collin = analyze_collinearity(blocks)
 
@@ -213,7 +215,7 @@ def build_report(
         if norm == 0.0:
             raise SpincolError("--axis direction must be nonzero")
         axis = axis / norm
-        axis_query = (axis, col_along(blocks, axis))
+        axis_query = (axis, float(axis @ collin.a_matrix @ axis))
 
     aligned = None
     if align_optimal:
@@ -228,11 +230,11 @@ def build_report(
         n_electrons=det.n_electrons,
         n_alpha=n_alpha,
         n_beta=n_beta,
-        sz=expect_sz(blocks),
-        sz2=expect_sz2(blocks),
-        sminus_splus=expect_sminus_splus(blocks),
-        splus_sminus=expect_splus_sminus(blocks),
-        splus=expect_splus(blocks),
+        sz=vector.sz,
+        sz2=sz2,
+        sminus_splus=sminus_splus,
+        splus_sminus=splus_sminus,
+        splus=complex(vector.sx, vector.sy),
         s2=s2,
         decomposition=decomposition,
         vector=vector,

@@ -11,7 +11,10 @@ compressions T_mu[k, i] = <phi_k | S_mu phi_i>,
 
     A[mu, nu] = delta(mu, nu) * Ne / 4 - Re tr(T_mu T_nu),
 
-where the <S_mu><S_nu> cross terms cancel exactly.
+where the <S_mu><S_nu> cross terms cancel exactly.  Because the T_mu are
+Hermitian, tr(T_mu T_nu) is the Frobenius inner product vdot(T_nu, T_mu), so
+A is Ne/4 minus a 3x3 Gram matrix: six O(Ne^2) inner products, no matrix
+products.  The 3x3 eigenproblem goes to ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .spin import expect_splus, expect_sz
 UNIT_VECTOR_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 DEGENERACY_GAP = 1e-10
-_JACOBI_SWEEPS = 50
+# About sqrt(machine epsilon); see min_collinearity.
+PROJECTION_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,11 @@ class CollinearityResult:
     ``eigenvalues`` ascend; ``eigenvectors[:, k]`` is the unit eigenvector of
     ``eigenvalues[k]``, sign-normalized so its largest-magnitude component is
     positive.  ``col`` is the lowest eigenvalue and ``optimal_axis`` its
-    eigenvector; ``degenerate`` flags a lowest eigenvalue shared within
-    1e-10, in which case the axis is picked deterministically by the ordering
-    key (|z|, |x|, |y|).
+    eigenvector, sign-normalized the same way; ``degenerate`` flags a lowest
+    eigenvalue shared within 1e-10.  In that case the axis is the unit vector
+    of the lowest eigenspace maximizing the key (|z|, |x|, |y|), see
+    :func:`min_collinearity`; it depends on A alone and need not be one of
+    the ``eigenvectors`` columns.
     """
 
     a_matrix: np.ndarray
@@ -79,21 +85,25 @@ def spin_vector(blocks: OverlapBlocks) -> SpinVector:
 
 def pauli_compressions(blocks: OverlapBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian Ne x Ne matrices T_mu[k, i] = <phi_k | S_mu phi_i>, mu = x, y, z."""
-    t_x = 0.5 * (blocks.o_ab + blocks.o_ba)
-    t_y = 0.5j * (blocks.o_ba - blocks.o_ab)
+    o_ab, o_ba = blocks.o_ab, blocks.o_ba
+    t_x = 0.5 * (o_ab + o_ba)
+    t_y = 0.5j * (o_ba - o_ab)
     t_z = 0.5 * (blocks.o_aa - blocks.o_bb)
     return t_x, t_y, t_z
 
 
 def a_matrix(blocks: OverlapBlocks) -> np.ndarray:
-    """Real symmetric 3x3 spin covariance matrix A with col(u) = u^T A u."""
+    """Real symmetric 3x3 spin covariance matrix A with col(u) = u^T A u.
+
+    Each entry is computed once, so A is exactly symmetric.
+    """
     t = pauli_compressions(blocks)
-    ne = blocks.n_electrons
-    b = np.empty((3, 3))
+    a = np.eye(3) * (blocks.n_electrons / 4.0)
     for mu in range(3):
-        for nu in range(3):
-            b[mu, nu] = (ne / 4.0 if mu == nu else 0.0) - np.trace(t[mu] @ t[nu]).real
-    return 0.5 * (b + b.T)
+        for nu in range(mu, 3):
+            a[mu, nu] -= np.vdot(t[mu], t[nu]).real
+            a[nu, mu] = a[mu, nu]
+    return a
 
 
 def _check_unit(u) -> np.ndarray:
@@ -112,38 +122,6 @@ def col_along(blocks: OverlapBlocks, u) -> float:
     return float(u @ a_matrix(blocks) @ u)
 
 
-def _jacobi_eigh_3x3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a real symmetric 3x3 matrix.
-
-    Returns (eigenvalues, eigenvector columns), unsorted.  Converges to
-    machine precision in a handful of sweeps.
-    """
-    a = a.copy()
-    v = np.eye(3)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(_JACOBI_SWEEPS):
-        off = max(abs(a[0, 1]), abs(a[0, 2]), abs(a[1, 2]))
-        if off <= 1e-15 * scale:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if abs(apq) <= 1e-18 * scale:
-                continue
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-            if theta == 0.0:
-                t = 1.0
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-            v = v @ rot
-    return np.diag(a).copy(), v
-
-
 def _sign_normalize(vec: np.ndarray) -> np.ndarray:
     if vec[np.argmax(np.abs(vec))] < 0:
         return -vec
@@ -154,9 +132,14 @@ def min_collinearity(a) -> CollinearityResult:
     """Diagonalize the spin covariance matrix and pick the optimal axis.
 
     The axis is the eigenvector of the lowest eigenvalue.  When that
-    eigenvalue is degenerate within 1e-10 the candidate whose component
-    ordering key (|z|, |x|, |y|) is lexicographically largest is returned so
-    isotropic cases stay deterministic.
+    eigenvalue is degenerate within 1e-10 the axis is a function of A alone,
+    not of the eigensolver's basis: the unit vector of the lowest eigenspace
+    whose key (|z|, |x|, |y|) is lexicographically largest.  That is the
+    normalized projection of e_z onto the eigenspace; if the projection is
+    no longer than 1e-8 (rounding level, about sqrt(machine epsilon)) the
+    eigenspace is taken to be orthogonal to z and the projection of e_x,
+    then of e_y, is used instead.  A fully degenerate A thus gives z, and an
+    eigenspace equal to the xy-plane gives x.
 
     Raises ``NotSymmetric`` if ``a`` deviates from symmetry beyond 1e-10.
     """
@@ -166,27 +149,24 @@ def min_collinearity(a) -> CollinearityResult:
     if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
     sym = 0.5 * (a + a.T)
-    values, vectors = _jacobi_eigh_3x3(sym)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = np.linalg.eigh(sym)
     for k in range(3):
         vectors[:, k] = _sign_normalize(vectors[:, k])
     degenerate = bool(values[1] - values[0] < DEGENERACY_GAP)
     if degenerate:
-        candidates = [k for k in range(3) if values[k] - values[0] < DEGENERACY_GAP]
-        def ordering_key(k):
-            v = vectors[:, k]
-            return (abs(v[2]), abs(v[0]), abs(v[1]))
-        best = max(candidates, key=ordering_key)
+        cluster = vectors[:, values - values[0] < DEGENERACY_GAP]
+        # Column k is the projection of e_k onto the lowest eigenspace.
+        projector = cluster @ cluster.T
+        k = next((k for k in (2, 0) if np.linalg.norm(projector[:, k]) > PROJECTION_FLOOR), 1)
+        axis = _sign_normalize(projector[:, k] / np.linalg.norm(projector[:, k]))
     else:
-        best = 0
+        axis = vectors[:, 0]
     return CollinearityResult(
         a_matrix=sym,
         eigenvalues=values,
         eigenvectors=vectors,
         col=float(values[0]),
-        optimal_axis=vectors[:, best],
+        optimal_axis=axis,
         degenerate=degenerate,
     )
 

@@ -3,12 +3,13 @@
 A determinant of ``n_electrons`` two-component spinors over an ``basis_dim``
 dimensional spatial basis is stored as two complex coefficient matrices, one
 per spin component.  Every spin quantity computed elsewhere in this package is
-a function of the four spinor overlap blocks
+a function of the spinor overlap blocks
 
     o_st[i, j] = <phi_i^s | phi_j^t>,   s, t in {alpha, beta},
 
 where the bracket is the spatial inner product under the (optional) AO overlap
-metric.  This module builds and validates those blocks.
+metric.  Only o_aa, o_ab and o_bb are stored: o_ba is the conjugate transpose
+of o_ab.  This module builds and validates those blocks.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .errors import (
 )
 
 # Input determinants may carry print rounding, hence the loose acceptance
-# threshold; explicit orthonormalization restores the tight one.
+# threshold; explicit orthonormalization restores orthonormality to 1e-12.
 ORTHONORMALITY_INPUT_TOL = 1e-8
-ORTHONORMALITY_TIGHT_TOL = 1e-12
 METRIC_HERMITICITY_TOL = 1e-12
+METRIC_IDENTITY_TOL = 1e-12
 METRIC_MIN_EIGENVALUE = 1e-10
 GRAM_MIN_EIGENVALUE = 1e-12
 BLOCK_HERMITICITY_TOL = 1e-12
@@ -91,10 +92,10 @@ class SpinorDeterminant:
         """Coefficients as one 2M x Ne matrix, alpha rows on top."""
         return np.vstack([self.coeff_alpha, self.coeff_beta])
 
-    def metric_is_identity(self, tol: float = 1e-12) -> bool:
+    def metric_is_identity(self) -> bool:
         if self.ao_overlap is None:
             return True
-        return np.max(np.abs(self.ao_overlap - np.eye(self.basis_dim))) <= tol
+        return np.max(np.abs(self.ao_overlap - np.eye(self.basis_dim))) <= METRIC_IDENTITY_TOL
 
     def spinor_gram(self) -> np.ndarray:
         """Gram matrix of the spinors under the metric (o_aa + o_bb)."""
@@ -112,44 +113,45 @@ class SpinorDeterminant:
 
 @dataclass(frozen=True)
 class OverlapBlocks:
-    """The four Ne x Ne spinor-component overlap matrices.
+    """The Ne x Ne spinor-component overlap matrices o_aa, o_ab and o_bb.
 
-    ``o_aa`` and ``o_bb`` are Hermitian, ``o_ba`` is the conjugate transpose
-    of ``o_ab``, and for an orthonormal determinant ``o_aa + o_bb`` is the
-    identity.  Instances are plain containers; :func:`build_overlap_blocks`
-    constructs and validates them.
+    ``o_aa`` and ``o_bb`` are Hermitian, ``o_ba`` is derived as the conjugate
+    transpose of ``o_ab``, and for an orthonormal determinant ``o_aa + o_bb``
+    is the identity.  Instances are plain containers;
+    :func:`build_overlap_blocks` constructs and validates them.
     """
 
     o_aa: np.ndarray
     o_ab: np.ndarray
-    o_ba: np.ndarray
     o_bb: np.ndarray
 
     def __post_init__(self):
-        for name in ("o_aa", "o_ab", "o_ba", "o_bb"):
+        for name in ("o_aa", "o_ab", "o_bb"):
             object.__setattr__(self, name, _frozen_complex(getattr(self, name)))
+
+    @property
+    def o_ba(self) -> np.ndarray:
+        return self.o_ab.conj().T
 
     @property
     def n_electrons(self) -> int:
         return self.o_aa.shape[0]
 
-    def validate(self, sum_tol: float = ORTHONORMALITY_INPUT_TOL) -> None:
+    def validate(self) -> None:
         ne = self.n_electrons
-        for name in ("o_aa", "o_ab", "o_ba", "o_bb"):
+        for name in ("o_aa", "o_ab", "o_bb"):
             if getattr(self, name).shape != (ne, ne):
                 raise DimensionMismatch(f"{name} must be {ne}x{ne}")
         for name in ("o_aa", "o_bb"):
             block = getattr(self, name)
             if np.max(np.abs(block - block.conj().T)) > BLOCK_HERMITICITY_TOL:
                 raise NonHermitianResult(f"{name} is not Hermitian at 1e-12")
-        if np.max(np.abs(self.o_ba - self.o_ab.conj().T)) != 0.0:
-            raise DimensionMismatch("o_ba must be the exact conjugate transpose of o_ab")
-        if np.max(np.abs(self.o_aa + self.o_bb - np.eye(ne))) > sum_tol:
+        if np.max(np.abs(self.o_aa + self.o_bb - np.eye(ne))) > ORTHONORMALITY_INPUT_TOL:
             raise NotOrthonormal("o_aa + o_bb deviates from identity beyond tolerance")
 
 
 def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
-    """Compute the four spinor overlap blocks of a determinant.
+    """Compute the spinor overlap blocks o_aa, o_ab and o_bb of a determinant.
 
     Raises
     ------
@@ -170,7 +172,7 @@ def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
     o_aa = ca.conj().T @ sa
     o_ab = ca.conj().T @ sb
     o_bb = cb.conj().T @ sb
-    blocks = OverlapBlocks(o_aa=o_aa, o_ab=o_ab, o_ba=o_ab.conj().T, o_bb=o_bb)
+    blocks = OverlapBlocks(o_aa=o_aa, o_ab=o_ab, o_bb=o_bb)
     blocks.validate()
     return blocks
 

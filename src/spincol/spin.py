@@ -1,11 +1,12 @@
 """Spin expectation values and the four-term decomposition of <S^2>.
 
 For a single determinant of orthonormal two-component spinors every spin
-expectation reduces to traces and Frobenius norms of the four overlap blocks:
+expectation reduces to traces and Frobenius norms of the stored overlap
+blocks o_aa, o_ab and o_bb:
 
     <Sz>     = (N_alpha - N_beta) / 2
     <Sz^2>   = <Sz>^2 + (Ne - ||o_aa - o_bb||_F^2) / 4
-    <S-S+>   = N_beta  + |tr o_ba|^2 - ||o_ba||_F^2
+    <S-S+>   = N_beta  + |tr o_ab|^2 - ||o_ab||_F^2
     <S+S->   = N_alpha + |tr o_ab|^2 - ||o_ab||_F^2
     <S+>     = tr o_ab
     <S^2>    = <Sz^2> + (<S+S-> + <S-S+>) / 2
@@ -14,7 +15,8 @@ with N_alpha = tr o_aa and N_beta = tr o_bb.  ``decompose_s2`` regroups
 <S^2> into a restricted-open-shell reference term s(s+1), the variance of Sz
 (z-noncollinearity), a cross-spin overlap deficit (spin contamination), and
 the squared ladder expectation (xy-perpendicularity); the regrouping is an
-exact algebraic identity.  hbar = 1 throughout.
+exact algebraic identity built from the same |tr o_ab|^2 and ||o_ab||_F^2
+terms.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -82,24 +84,19 @@ def expect_sz2(blocks: OverlapBlocks) -> float:
     return sz * sz + _z_noncollinearity(blocks)
 
 
+def _ladder_exchange(blocks: OverlapBlocks) -> float:
+    """|tr o_ab|^2 - ||o_ab||_F^2, shared by <S-S+> and <S+S->."""
+    return abs(complex(np.trace(blocks.o_ab))) ** 2 - _frobenius_sq(blocks.o_ab)
+
+
 def expect_sminus_splus(blocks: OverlapBlocks) -> float:
     """<S-S+>, the squared norm of S+ applied to the determinant."""
-    value = (
-        np.trace(blocks.o_bb)
-        + np.trace(blocks.o_ba) * np.trace(blocks.o_ab)
-        - np.sum(blocks.o_ba * blocks.o_ab.T)
-    )
-    return _real(value, "<S-S+>")
+    return _real(np.trace(blocks.o_bb) + _ladder_exchange(blocks), "<S-S+>")
 
 
 def expect_splus_sminus(blocks: OverlapBlocks) -> float:
     """<S+S->, the squared norm of S- applied to the determinant."""
-    value = (
-        np.trace(blocks.o_aa)
-        + np.trace(blocks.o_ab) * np.trace(blocks.o_ba)
-        - np.sum(blocks.o_ab * blocks.o_ba.T)
-    )
-    return _real(value, "<S+S->")
+    return _real(np.trace(blocks.o_aa) + _ladder_exchange(blocks), "<S+S->")
 
 
 def expect_splus(blocks: OverlapBlocks) -> complex:
@@ -130,7 +127,7 @@ def decompose_s2(blocks: OverlapBlocks) -> S2Decomposition:
     rohf_term = s * (s + 1.0)
     z_noncol = _z_noncollinearity(blocks)
     contamination = n_min - _frobenius_sq(blocks.o_ab)
-    perpendicularity = abs(complex(np.trace(blocks.o_ba))) ** 2
+    perpendicularity = abs(complex(np.trace(blocks.o_ab))) ** 2
     return S2Decomposition(
         s_effective=s,
         rohf_term=rohf_term,

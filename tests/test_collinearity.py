@@ -9,6 +9,7 @@ import helpers
 from spincol import (
     NotSymmetric,
     NotUnitVector,
+    SpinRotation,
     a_matrix,
     analyze_collinearity,
     apply_spin,
@@ -22,8 +23,8 @@ from spincol import (
     min_collinearity,
     oracle_expectation,
     spin_vector,
+    su2_rotate,
 )
-from spincol.collinearity import _jacobi_eigh_3x3
 from spincol.reference import H2OPLUS_A_MATRIX, H2OPLUS_COL, H2OPLUS_OPTIMAL_AXIS
 
 X, Y, Z = np.eye(3)
@@ -143,21 +144,78 @@ def test_min_collinearity_rejects_asymmetry():
         min_collinearity(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_tilted_closed_shell_reports_z(seed):
+    # A closed shell has A = 0 in every frame; the fully degenerate
+    # eigenspace projects e_z onto itself.
+    det = helpers.random_rhf(4, 2, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        rot = SpinRotation(helpers.random_unit_vector(rng), float(rng.uniform(0.1, np.pi)))
+        result = analyze_collinearity(build_overlap_blocks(su2_rotate(det, rot)))
+        assert result.degenerate
+        assert np.max(np.abs(result.optimal_axis - Z)) < 1e-12
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_two_fold_cluster_gives_the_projection_of_z(seed):
+    rng = np.random.default_rng(seed)
+    rot = _random_rotation(rng)
+    low = float(rng.uniform(0.0, 0.5))
+    high = low + float(rng.uniform(0.05, 0.5))
+    a = rot @ np.diag([low, low, high]) @ rot.T
+    result = min_collinearity(0.5 * (a + a.T))
+    assert result.degenerate
+    assert result.col == pytest.approx(low, abs=1e-12)
+    # The eigenspace is the plane orthogonal to n = rot[:, 2]; its largest
+    # reachable |z| is sqrt(1 - n_z^2), attained by the projection of e_z.
+    n = rot[:, 2]
+    projection = Z - n[2] * n
+    projection /= np.linalg.norm(projection)
+    axis = result.optimal_axis
+    assert abs(axis[2]) == pytest.approx(np.sqrt(1.0 - n[2] ** 2), abs=1e-12)
+    assert min(np.max(np.abs(axis - projection)), np.max(np.abs(axis + projection))) < 1e-12
+    assert axis[np.argmax(np.abs(axis))] > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_xy_plane_cluster_falls_through_to_x(seed):
+    # Built through a detour rotation so the z couplings carry rounding noise:
+    # the projection of e_z is then at rounding level and must be ignored.
+    rng = np.random.default_rng(seed)
+    detour = _random_rotation(rng)
+    angle = rng.uniform(0.0, np.pi)
+    c, s = np.cos(angle), np.sin(angle)
+    about_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    inner = detour @ np.diag([0.1, 0.1, 0.4]) @ detour.T
+    a = about_z @ detour.T @ inner @ detour @ about_z.T
+    result = min_collinearity(0.5 * (a + a.T))
+    assert result.degenerate
+    assert np.max(np.abs(result.optimal_axis - X)) < 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_jacobi_agrees_with_numpy(seed):
+def test_min_collinearity_agrees_with_numpy(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3, 3)) * float(rng.uniform(0.1, 10.0))
     a = 0.5 * (x + x.T)
-    vals, vecs = _jacobi_eigh_3x3(a)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
+    result = min_collinearity(a)
+    vals, vecs = result.eigenvalues, result.eigenvectors
     scale = max(1.0, np.max(np.abs(a)))
     assert np.max(np.abs(vals - np.linalg.eigvalsh(a))) < 1e-12 * scale
     for k in range(3):
         assert np.max(np.abs(a @ vecs[:, k] - vals[k] * vecs[:, k])) < 1e-11 * scale
+        assert vecs[np.argmax(np.abs(vecs[:, k])), k] > 0
     assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-12
+    axis = result.optimal_axis
+    assert np.max(np.abs(a @ axis - result.col * axis)) < 1e-11 * scale
+    assert axis[np.argmax(np.abs(axis))] > 0
 
 
 def test_variance_identity_against_oracle(rng):

@@ -210,9 +210,7 @@ def test_global_phase_invariance(seed, column, angle):
 def test_decomposition_invariant_under_spin_swap():
     for seed in range(6):
         blocks = build_overlap_blocks(gen_random_gchf(3, 3, seed))
-        swapped = OverlapBlocks(
-            o_aa=blocks.o_bb, o_ab=blocks.o_ba, o_ba=blocks.o_ab, o_bb=blocks.o_aa
-        )
+        swapped = OverlapBlocks(o_aa=blocks.o_bb, o_ab=blocks.o_ba, o_bb=blocks.o_aa)
         d1, d2 = decompose_s2(blocks), decompose_s2(swapped)
         assert d1.rohf_term == pytest.approx(d2.rohf_term, abs=1e-12)
         assert d1.z_noncollinearity == pytest.approx(d2.z_noncollinearity, abs=1e-12)
@@ -225,7 +223,6 @@ def test_imaginary_residue_raises():
     corrupt = OverlapBlocks(
         o_aa=good.o_aa + 1e-3j * np.eye(2),
         o_ab=good.o_ab,
-        o_ba=good.o_ba,
         o_bb=good.o_bb,
     )
     with pytest.raises(NonHermitianResult):
