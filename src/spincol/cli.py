@@ -255,22 +255,22 @@ def oracle_rows(det: SpinorDeterminant) -> list[tuple[str, complex, complex, flo
     vector = spin_vector(blocks)
     a = a_matrix(blocks)
     s = vector.as_array()
+    exact = oracle_expectation(det)
     rows = [
-        ("<Sz>", expect_sz(blocks), oracle_expectation(det, "Sz")),
-        ("<Sz^2>", expect_sz2(blocks), oracle_expectation(det, "Sz2")),
-        ("<S-S+>", expect_sminus_splus(blocks), oracle_expectation(det, "S-S+")),
-        ("<S+S->", expect_splus_sminus(blocks), oracle_expectation(det, "S+S-")),
-        ("<S+>", expect_splus(blocks), oracle_expectation(det, "S+")),
-        ("<S^2>", expect_s2(blocks), oracle_expectation(det, "S2")),
-        ("<Sx>", vector.sx, oracle_expectation(det, "Sx")),
-        ("<Sy>", vector.sy, oracle_expectation(det, "Sy")),
+        ("<Sz>", expect_sz(blocks), exact["Sz"]),
+        ("<Sz^2>", expect_sz2(blocks), exact["Sz2"]),
+        ("<S-S+>", expect_sminus_splus(blocks), exact["S-S+"]),
+        ("<S+S->", expect_splus_sminus(blocks), exact["S+S-"]),
+        ("<S+>", expect_splus(blocks), exact["S+"]),
+        ("<S^2>", expect_s2(blocks), exact["S2"]),
+        ("<Sx>", vector.sx, exact["Sx"]),
+        ("<Sy>", vector.sy, exact["Sy"]),
     ]
     labels = "xyz"
     for mu in range(3):
         for nu in range(3):
-            formula = a[mu, nu] + s[mu] * s[nu]
-            oracle = oracle_expectation(det, f"S{labels[mu]}S{labels[nu]}").real
-            rows.append((f"Re<S{labels[mu]}S{labels[nu]}>", formula, oracle))
+            smn = f"S{labels[mu]}S{labels[nu]}"
+            rows.append((f"Re<{smn}>", a[mu, nu] + s[mu] * s[nu], exact[smn].real))
     return [
         (label, complex(formula), complex(oracle), abs(complex(formula) - complex(oracle)))
         for label, formula, oracle in rows

@@ -43,6 +43,11 @@ def _frozen_complex(a) -> np.ndarray:
     return arr
 
 
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise SpincolError(f"{name} has a non-finite entry (NaN or infinity)")
+
+
 @dataclass(frozen=True)
 class SpinorDeterminant:
     """Single determinant of two-component spinors.
@@ -52,10 +57,10 @@ class SpinorDeterminant:
     is the Hermitian positive-definite metric of the spatial basis; ``None``
     means identity (orthonormal basis).
 
-    Construction validates shapes and the metric.  Orthonormality of the
-    spinors is checked where it is consumed (``build_overlap_blocks``) so
-    that raw, not-yet-orthonormal coefficient sets can be represented and
-    passed to :func:`orthonormalize`.
+    Construction validates shapes, finiteness and the metric.
+    Orthonormality of the spinors is checked where it is consumed
+    (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
+    sets can be represented and passed to :func:`orthonormalize`.
     """
 
     basis_dim: int
@@ -76,12 +81,15 @@ class SpinorDeterminant:
             raise DimensionMismatch(
                 f"coefficient matrices must be {m}x{ne}, got {ca.shape} and {cb.shape}"
             )
+        _check_finite("coeff_alpha", ca)
+        _check_finite("coeff_beta", cb)
         object.__setattr__(self, "coeff_alpha", ca)
         object.__setattr__(self, "coeff_beta", cb)
         if self.ao_overlap is not None:
             s = _frozen_complex(self.ao_overlap)
             if s.shape != (m, m):
                 raise DimensionMismatch(f"ao_overlap must be {m}x{m}, got {s.shape}")
+            _check_finite("ao_overlap", s)
             if np.max(np.abs(s - s.conj().T)) > METRIC_HERMITICITY_TOL:
                 raise SpincolError("ao_overlap is not Hermitian at 1e-12")
             if np.linalg.eigvalsh(s).min() <= METRIC_MIN_EIGENVALUE:

@@ -7,6 +7,11 @@ operators then act by their second-quantized one-body form, so any spin
 expectation can be evaluated with no formula beyond linear algebra.  This is
 the ground truth the closed-form routines are validated against.
 
+``oracle_expectation`` expands the determinant once into psi, applies S+, S-
+and Sz to it once each (Sx psi and Sy psi are their combinations), and reads
+every observable as an inner product: <A> = <psi|A psi> and
+<AB> = <A^dagger psi|B psi>.
+
 Conventions: spin-orbitals are ordered 1a < 2a < ... < Ma < 1b < ... < Mb; a
 pattern is a bitmask over 2M bits with bit p = (p+1)a and bit M+p = (p+1)b;
 minors take rows in ascending order, and fermionic signs count occupied modes
@@ -88,15 +93,9 @@ def expand(det: SpinorDeterminant) -> FockVector:
     n_patterns = comb(2 * m, ne)
     if n_patterns > PATTERN_GUARD:
         raise TooLarge(f"{n_patterns} occupation patterns exceed the guard of {PATTERN_GUARD}")
-    w = det.stacked()
-    amplitudes = {}
-    for rows in combinations(range(2 * m), ne):
-        sub = w[rows, :]
-        amp = complex(sub[0, 0]) if ne == 1 else complex(np.linalg.det(sub))
-        mask = 0
-        for r in rows:
-            mask |= 1 << r
-        amplitudes[mask] = amp
+    patterns = list(combinations(range(2 * m), ne))
+    minors = np.linalg.det(det.stacked()[np.array(patterns)])
+    amplitudes = {sum(1 << r for r in rows): complex(a) for rows, a in zip(patterns, minors)}
     return FockVector(m_spatial=m, n_electrons=ne, amplitudes=amplitudes)
 
 
@@ -133,48 +132,38 @@ def apply_spin(vec: FockVector, op: str) -> FockVector:
         return _apply_ladder(vec, from_offset=m, to_offset=0)
     if op == "S-":
         return _apply_ladder(vec, from_offset=0, to_offset=m)
-    if op == "Sx":
-        return apply_spin(vec, "S+").add(apply_spin(vec, "S-")).scaled(0.5)
-    if op == "Sy":
-        return apply_spin(vec, "S+").add(apply_spin(vec, "S-").scaled(-1.0)).scaled(-0.5j)
+    if op in ("Sx", "Sy"):
+        return _cartesian(op, apply_spin(vec, "S+"), apply_spin(vec, "S-"))
     raise ValueError(f"unknown spin operator {op!r}")
 
 
-_SINGLE_OPS = ("Sz", "Sx", "Sy", "S+", "S-")
+def _cartesian(op: str, plus: FockVector, minus: FockVector) -> FockVector:
+    """Sx = (S+ + S-)/2 or Sy = (S+ - S-)/2i, given S+ and S- applied to one vector."""
+    if op == "Sx":
+        return plus.add(minus).scaled(0.5)
+    return plus.add(minus.scaled(-1.0)).scaled(-0.5j)
 
 
-def _op_sequence(which: str) -> list[str]:
-    if which in _SINGLE_OPS:
-        return [which]
-    aliases = {"Sz2": ["Sz", "Sz"], "S-S+": ["S-", "S+"], "S+S-": ["S+", "S-"]}
-    for a in "xyz":
-        for b in "xyz":
-            aliases[f"S{a}S{b}"] = [f"S{a}", f"S{b}"]
-    if which in aliases:
-        return aliases[which]
-    raise ValueError(f"unknown observable {which!r}")
+def oracle_expectation(det: SpinorDeterminant) -> dict[str, complex]:
+    """Brute-force expectation values of every supported spin observable.
 
-
-def oracle_expectation(det: SpinorDeterminant, which: str) -> complex:
-    """Brute-force expectation value of a spin observable.
-
-    ``which`` is one of Sz, Sx, Sy, S+, S-, Sz2, S-S+, S+S-, S2, or any
-    product SmSn with m, n in {x, y, z}.  Guarded to small problems
-    (M <= 6 and at most 10^4 occupation patterns).
+    Returns a dict keyed by Sz, Sx, Sy, S+, S-, Sz2, S-S+, S+S-, S2 and every
+    product SmSn with m, n in {x, y, z}, all computed from one expansion of
+    the determinant.  Guarded to small problems (M <= 6 and at most 10^4
+    occupation patterns).
     """
     if det.basis_dim > BASIS_GUARD:
         raise TooLarge(f"basis_dim {det.basis_dim} exceeds the oracle guard of {BASIS_GUARD}")
-    vec = expand(to_identity_metric(det))
-    if which == "S2":
-        return (
-            _expect(vec, ["Sz", "Sz"])
-            + 0.5 * (_expect(vec, ["S+", "S-"]) + _expect(vec, ["S-", "S+"]))
-        )
-    return _expect(vec, _op_sequence(which))
-
-
-def _expect(vec: FockVector, ops: list[str]) -> complex:
-    acted = vec
-    for op in reversed(ops):
-        acted = apply_spin(acted, op)
-    return vec.inner(acted)
+    psi = expand(to_identity_metric(det))
+    acted = {op: apply_spin(psi, op) for op in ("S+", "S-", "Sz")}
+    for op in ("Sx", "Sy"):
+        acted[op] = _cartesian(op, acted["S+"], acted["S-"])
+    values = {op: psi.inner(acted[op]) for op in ("Sz", "Sx", "Sy", "S+", "S-")}
+    for a in "xyz":
+        for b in "xyz":
+            values[f"S{a}S{b}"] = acted[f"S{a}"].inner(acted[f"S{b}"])
+    values["Sz2"] = values["SzSz"]
+    values["S-S+"] = acted["S+"].inner(acted["S+"])
+    values["S+S-"] = acted["S-"].inner(acted["S-"])
+    values["S2"] = values["Sz2"] + 0.5 * (values["S+S-"] + values["S-S+"])
+    return values

@@ -107,7 +107,7 @@ def load_determinant(path) -> SpinorDeterminant:
 
 
 def _encode_matrix(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
 def save_determinant(det: SpinorDeterminant, path) -> None:

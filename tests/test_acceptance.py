@@ -148,13 +148,14 @@ def test_criterion_3_oracle_equivalence_sweep():
             "S+": expect_splus(blocks),
             "S2": expect_s2(blocks),
         }
+        exact = oracle_expectation(det)
         for which, value in scalars.items():
-            max_dev = max(max_dev, abs(value - oracle_expectation(det, which)))
+            max_dev = max(max_dev, abs(value - exact[which]))
         a = a_matrix(blocks)
         s = spin_vector(blocks).as_array()
         for i, mu in enumerate("xyz"):
             for j, nu in enumerate("xyz"):
-                oracle = oracle_expectation(det, f"S{mu}S{nu}").real
+                oracle = exact[f"S{mu}S{nu}"].real
                 max_dev = max(max_dev, abs(a[i, j] + s[i] * s[j] - oracle))
     elapsed = time.perf_counter() - start
     ok = max_dev <= 1e-10 and elapsed < 60.0

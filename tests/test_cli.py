@@ -10,9 +10,11 @@ from spincol import (
     NotOrthonormal,
     ParseError,
     ShapeError,
+    SpinorDeterminant,
     build_overlap_blocks,
     gen_random_gchf,
     load_determinant,
+    parse_determinant,
     save_determinant,
 )
 from spincol.cli import run
@@ -50,6 +52,23 @@ def test_round_trip_with_metric(tmp_path):
     loaded = load_determinant(path)
     assert loaded.ao_overlap is not None
     assert np.max(np.abs(loaded.ao_overlap - det.ao_overlap)) < 1e-15
+
+
+def test_save_parse_round_trip_is_bit_exact(tmp_path):
+    det = helpers.random_metric_determinant(3, 2, seed=6)
+    coeff_alpha = det.coeff_alpha.copy()
+    coeff_alpha[0, 0] = complex(-0.0, 5e-324)
+    coeff_alpha[1, 1] = complex(1e300, -0.0)
+    metric = det.ao_overlap.copy()
+    metric[0, 0] = complex(metric[0, 0].real, -0.0)
+    metric[0, 1] = complex(metric[0, 1].real, 5e-324)
+    metric[1, 0] = complex(metric[1, 0].real, -5e-324)
+    det = SpinorDeterminant(3, 2, coeff_alpha, det.coeff_beta, metric)
+    path = tmp_path / "det.json"
+    save_determinant(det, path)
+    loaded = parse_determinant(path)
+    for name in ("coeff_alpha", "coeff_beta", "ao_overlap"):
+        assert getattr(loaded, name).tobytes() == getattr(det, name).tobytes(), name
 
 
 def test_load_minimal_pure_alpha(tmp_path):
@@ -242,6 +261,18 @@ def test_malformed_file_exit_code_and_diagnostics(tmp_path, capsys):
     path = _write(tmp_path, "shape.json", json.dumps(doc))
     assert run(["analyze", path]) == 1
     assert "ShapeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["analyze", "axis", "oracle-check"])
+def test_non_finite_input_exits_one_with_typed_error(tmp_path, capsys, command, token):
+    # Python's json accepts these tokens, and NaN passes every "residual > tol" gate.
+    doc = PURE_ALPHA_DOC.replace('"coeff_alpha": [[[1, 0]]]', f'"coeff_alpha": [[[{token}, 0]]]')
+    path = _write(tmp_path, "nonfinite.json", doc)
+    assert run([command, path]) == 1
+    err = capsys.readouterr().err
+    assert "SpincolError" in err
+    assert "coeff_alpha" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -153,6 +153,15 @@ def test_constructor_metric_errors():
         SpinorDeterminant(2, 1, np.eye(2)[:, :1], np.zeros((2, 1)), not_pd)
 
 
+@pytest.mark.parametrize("field", ["coeff_alpha", "coeff_beta", "ao_overlap"])
+def test_constructor_rejects_non_finite(field):
+    args = {"coeff_alpha": np.eye(2)[:, :1], "coeff_beta": np.zeros((2, 1)), "ao_overlap": np.eye(2)}
+    args[field] = args[field].copy()
+    args[field][0, 0] = np.nan
+    with pytest.raises(SpincolError, match=field):
+        SpinorDeterminant(2, 1, **args)
+
+
 def test_build_rejects_non_orthonormal():
     det = SpinorDeterminant(1, 1, [[2.0]], [[0.0]])
     with pytest.raises(NotOrthonormal):

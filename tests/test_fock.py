@@ -58,6 +58,15 @@ def test_expand_counts_all_patterns():
     assert len(vec.amplitudes) == comb(6, 2)
 
 
+@pytest.mark.parametrize("m,ne,seed", [(3, 1, 2), (3, 3, 4)])
+def test_expand_amplitudes_are_the_minors(m, ne, seed):
+    det = gen_random_gchf(m, ne, seed)
+    w = det.stacked()
+    vec = expand(det)
+    for rows in combinations(range(2 * m), ne):
+        assert vec.amplitudes[sum(1 << r for r in rows)] == np.linalg.det(w[list(rows)])
+
+
 def test_expand_norm_cauchy_binet():
     det = gen_random_gchf(3, 2, seed=1)
     assert expand(det).norm() == pytest.approx(1.0, abs=1e-12)
@@ -92,7 +101,7 @@ def test_expand_guard_rail():
 def test_oracle_guard_rail_on_basis_size():
     det = gen_random_gchf(7, 1, seed=0)
     with pytest.raises(TooLarge):
-        oracle_expectation(det, "Sz")
+        oracle_expectation(det)
 
 
 def test_apply_sz_is_diagonal():
@@ -172,21 +181,39 @@ def test_ladder_operators_adjoint(rng):
     )
 
 
+ORACLE_KEYS = {"Sz", "Sx", "Sy", "S+", "S-", "Sz2", "S-S+", "S+S-", "S2"} | {
+    f"S{a}S{b}" for a in "xyz" for b in "xyz"
+}
+
+
+@pytest.mark.parametrize("metric", [False, True])
+@pytest.mark.parametrize("m,ne,seed", [(2, 2, 0), (3, 3, 1), (4, 3, 2)])
+def test_oracle_values_obey_spin_algebra(m, ne, seed, metric):
+    det = helpers.random_metric_determinant(m, ne, seed) if metric else gen_random_gchf(m, ne, seed)
+    v = oracle_expectation(det)
+    assert set(v) == ORACLE_KEYS
+    assert abs(v["S2"] - (v["SxSx"] + v["SySy"] + v["SzSz"])) < 1e-12
+    assert abs(v["S+"] - (v["Sx"] + 1j * v["Sy"])) < 1e-12
+    assert abs(v["S-"] - v["S+"].conjugate()) < 1e-12
+    for a in "xyz":
+        for b in "xyz":
+            assert abs(v[f"S{a}S{b}"] - v[f"S{b}S{a}"].conjugate()) < 1e-12
+    assert abs(v["S-S+"] + v["S+S-"] - 2 * (v["SxSx"] + v["SySy"])) < 1e-12
+
+
 def test_oracle_s2_trivials():
-    assert oracle_expectation(helpers.pure_alpha_one_electron(), "S2").real == pytest.approx(0.75)
+    assert oracle_expectation(helpers.pure_alpha_one_electron())["S2"].real == pytest.approx(0.75)
     triplet = SpinorDeterminant(2, 2, [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)))
-    assert oracle_expectation(triplet, "S2").real == pytest.approx(2.0)
+    assert oracle_expectation(triplet)["S2"].real == pytest.approx(2.0)
 
 
 def test_oracle_handles_metric_by_transforming():
     det = helpers.random_metric_determinant(2, 2, seed=9)
     blocks = build_overlap_blocks(det)
-    assert oracle_expectation(det, "S2").real == pytest.approx(expect_s2(blocks), abs=1e-10)
+    assert oracle_expectation(det)["S2"].real == pytest.approx(expect_s2(blocks), abs=1e-10)
 
 
 def test_unknown_operator_rejected():
     vec = FockVector(1, 1, {0b01: 1.0})
     with pytest.raises(ValueError):
         apply_spin(vec, "S?")
-    with pytest.raises(ValueError):
-        oracle_expectation(helpers.pure_alpha_one_electron(), "bogus")

@@ -15,6 +15,7 @@ from spincol import (
     NonHermitianResult,
     OverlapBlocks,
     SpinorDeterminant,
+    a_matrix,
     build_overlap_blocks,
     decompose_s2,
     expect_s2,
@@ -26,9 +27,13 @@ from spincol import (
     gen_random_gchf,
     gen_rhf,
     oracle_expectation,
+    spin_vector,
 )
 
-# Computed via oracle_expectation on gen_random_gchf(m, ne, seed).
+# Computed via oracle_expectation on gen_random_gchf(m, ne, seed).  <Sx>,
+# <Sy> and the nine Re<SmSn> come from the earlier oracle, which re-expanded
+# the determinant and applied an operator chain for each observable; they pin
+# the single-expansion oracle to its values.
 FROZEN_ORACLE = {
     (3, 3, 7): {
         "Sz": -0.144189952792380,
@@ -37,6 +42,17 @@ FROZEN_ORACLE = {
         "S+S-": +0.521517875287944,
         "S+": complex(+0.139222636002569, -0.004443246948167),
         "S2": +0.929375564642611,
+        "Sx": +0.139222636002569,
+        "Sy": -0.004443246948167,
+        "SxSx": +0.329873935687201,
+        "SxSy": +0.025103593477799,
+        "SxSz": +0.015786066043483,
+        "SySx": +0.025103593477799,
+        "SySy": +0.335833892393122,
+        "SySz": -0.014051802623131,
+        "SzSx": +0.015786066043483,
+        "SzSy": -0.014051802623131,
+        "SzSz": +0.263667736562288,
     },
     (4, 3, 11): {
         "Sz": +0.178415308667589,
@@ -45,6 +61,17 @@ FROZEN_ORACLE = {
         "S+S-": +1.088725938439343,
         "S+": complex(-0.051790819172752, +0.255505588679886),
         "S2": +1.490257786563781,
+        "Sx": -0.051790819172752,
+        "Sy": +0.255505588679886,
+        "SxSx": +0.464533535858625,
+        "SxSy": +0.105360614211765,
+        "SxSz": +0.042288925821780,
+        "SySx": +0.105360614211765,
+        "SySy": +0.445777093913130,
+        "SySz": -0.034315115157539,
+        "SzSx": +0.042288925821780,
+        "SzSy": -0.034315115157539,
+        "SzSz": +0.579947156792026,
     },
 }
 
@@ -109,16 +136,27 @@ def test_s2_two_alpha_triplet():
     assert expect_s2(build_overlap_blocks(det)) == pytest.approx(2.0)
 
 
+def _frozen_closed_forms(blocks):
+    """Closed forms of every frozen key: Re<SmSn> is A + s s^T."""
+    values = _all_expectations(blocks)
+    s = spin_vector(blocks).as_array()
+    a = a_matrix(blocks)
+    values["Sx"], values["Sy"] = s[0], s[1]
+    for i, mu in enumerate("xyz"):
+        for j, nu in enumerate("xyz"):
+            values[f"S{mu}S{nu}"] = a[i, j] + s[i] * s[j]
+    return values
+
+
 @pytest.mark.parametrize("key", sorted(FROZEN_ORACLE))
 def test_frozen_fixture_values(key):
     m, ne, seed = key
     det = gen_random_gchf(m, ne, seed)
-    blocks = build_overlap_blocks(det)
-    values = _all_expectations(blocks)
+    values = _frozen_closed_forms(build_overlap_blocks(det))
+    exact = oracle_expectation(det)
     for which, frozen in FROZEN_ORACLE[key].items():
         assert values[which] == pytest.approx(frozen, abs=1e-10), which
-        live = oracle_expectation(det, which)
-        live = live if which == "S+" else live.real
+        live = exact[which] if which == "S+" else exact[which].real
         assert live == pytest.approx(frozen, abs=1e-10), f"oracle drift for {which}"
 
 
@@ -126,9 +164,9 @@ def test_frozen_fixture_values(key):
 def test_expectations_match_oracle(m, ne, seed):
     det = gen_random_gchf(m, ne, seed)
     values = _all_expectations(build_overlap_blocks(det))
+    exact = oracle_expectation(det)
     for which, value in values.items():
-        oracle = oracle_expectation(det, which)
-        oracle = oracle if which == "S+" else oracle.real
+        oracle = exact[which] if which == "S+" else exact[which].real
         assert value == pytest.approx(oracle, abs=1e-10), which
 
 
