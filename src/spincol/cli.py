@@ -17,14 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .collinearity import (
     CollinearityResult,
-    SpinVector,
     a_matrix,
     analyze_collinearity,
     spin_vector,
@@ -50,99 +48,43 @@ ORACLE_CHECK_TOL = 1e-8
 _CONSISTENCY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything the analyze subcommand emits for one determinant."""
-
-    input_path: str
-    input_sha256: str
-    version: str
-    basis_dim: int
-    n_electrons: int
-    n_alpha: float
-    n_beta: float
-    sz: float
-    sz2: float
-    sminus_splus: float
-    splus_sminus: float
-    splus: complex
-    s2: float
-    decomposition: S2Decomposition
-    vector: SpinVector
-    collinearity: CollinearityResult
-    axis_query: tuple[np.ndarray, float] | None = None
-    aligned_decomposition: S2Decomposition | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "tool": "spincol",
-            "version": self.version,
-            "input": {"path": self.input_path, "sha256": self.input_sha256},
-            "basis_dim": self.basis_dim,
-            "n_electrons": self.n_electrons,
-            "electron_counts": {"n_alpha": self.n_alpha, "n_beta": self.n_beta},
-            "expectations": {
-                "sz": self.sz,
-                "sz2": self.sz2,
-                "sminus_splus": self.sminus_splus,
-                "splus_sminus": self.splus_sminus,
-                "splus": {"re": self.splus.real, "im": self.splus.imag},
-                "s2": self.s2,
-            },
-            "decomposition": _decomposition_dict(self.decomposition),
-            "spin_vector": {"sx": self.vector.sx, "sy": self.vector.sy, "sz": self.vector.sz},
-            "collinearity": _collinearity_dict(self.collinearity),
-        }
-        if self.axis_query is not None:
-            axis, value = self.axis_query
-            doc["axis_query"] = {"axis": list(map(float, axis)), "col_along": value}
-        if self.aligned_decomposition is not None:
-            doc["aligned_decomposition"] = _decomposition_dict(self.aligned_decomposition)
-        return doc
-
-    def render_text(self) -> str:
-        lines = [
-            f"spincol {self.version} analysis",
-            f"input: {self.input_path}",
-            f"sha256: {self.input_sha256}",
-            f"basis_dim: {self.basis_dim}   n_electrons: {self.n_electrons}",
-            "",
-            f"N_alpha              {self.n_alpha:+.6f}",
-            f"N_beta               {self.n_beta:+.6f}",
-            f"<Sz>                 {self.sz:+.6f}",
-            f"<Sz^2>               {self.sz2:+.6f}",
-            f"<S-S+>               {self.sminus_splus:+.6f}",
-            f"<S+S->               {self.splus_sminus:+.6f}",
-            f"<S+>                 {self.splus.real:+.6f} {self.splus.imag:+.6f}i",
-            f"<S^2>                {self.s2:+.6f}",
-            "",
-            "decomposition of <S^2>",
-            *_decomposition_text(self.decomposition),
-            "",
-            "spin vector",
-            f"  <Sx> <Sy> <Sz>     {self.vector.sx:+.6f} {self.vector.sy:+.6f} "
-            f"{self.vector.sz:+.6f}",
-            "",
-        ]
-        lines.extend(_collinearity_text(self.collinearity))
-        if self.axis_query is not None:
-            axis, value = self.axis_query
-            lines.append("")
-            lines.append(
-                f"col along ({axis[0]:+.6f}, {axis[1]:+.6f}, {axis[2]:+.6f}) = {value:+.6f}"
-            )
-        if self.aligned_decomposition is not None:
-            lines.append("")
-            lines.append("decomposition after aligning z to the optimal axis")
-            lines.extend(_decomposition_text(self.aligned_decomposition))
-        return "\n".join(lines)
-
-
-def _decomposition_text(d: S2Decomposition) -> list[str]:
-    return [
-        f"  {name:<20} {value:+.6f}"
-        for name, value in _decomposition_dict(d).items()
+def _report_text(doc: dict) -> str:
+    """Six-decimal text rendering of the ``analyze --json`` document."""
+    counts, e, v = doc["electron_counts"], doc["expectations"], doc["spin_vector"]
+    lines = [
+        f"spincol {doc['version']} analysis",
+        f"input: {doc['input']['path']}",
+        f"sha256: {doc['input']['sha256']}",
+        f"basis_dim: {doc['basis_dim']}   n_electrons: {doc['n_electrons']}",
+        "",
+        f"N_alpha              {counts['n_alpha']:+.6f}",
+        f"N_beta               {counts['n_beta']:+.6f}",
+        f"<Sz>                 {e['sz']:+.6f}",
+        f"<Sz^2>               {e['sz2']:+.6f}",
+        f"<S-S+>               {e['sminus_splus']:+.6f}",
+        f"<S+S->               {e['splus_sminus']:+.6f}",
+        f"<S+>                 {e['splus']['re']:+.6f} {e['splus']['im']:+.6f}i",
+        f"<S^2>                {e['s2']:+.6f}",
+        "",
+        "decomposition of <S^2>",
+        *_decomposition_text(doc["decomposition"]),
+        "",
+        "spin vector",
+        f"  <Sx> <Sy> <Sz>     {v['sx']:+.6f} {v['sy']:+.6f} {v['sz']:+.6f}",
+        "",
+        *_collinearity_text(doc["collinearity"]),
     ]
+    if "axis_query" in doc:
+        axis, value = doc["axis_query"]["axis"], doc["axis_query"]["col_along"]
+        lines += ["", f"col along ({axis[0]:+.6f}, {axis[1]:+.6f}, {axis[2]:+.6f}) = {value:+.6f}"]
+    if "aligned_decomposition" in doc:
+        lines += ["", "decomposition after aligning z to the optimal axis"]
+        lines += _decomposition_text(doc["aligned_decomposition"])
+    return "\n".join(lines)
+
+
+def _decomposition_text(d: dict) -> list[str]:
+    return [f"  {name:<20} {value:+.6f}" for name, value in d.items()]
 
 
 def _decomposition_dict(d: S2Decomposition) -> dict:
@@ -167,16 +109,16 @@ def _collinearity_dict(c: CollinearityResult) -> dict:
     }
 
 
-def _collinearity_text(c: CollinearityResult) -> list[str]:
+def _collinearity_text(c: dict) -> list[str]:
     lines = ["collinearity"]
-    for row in c.a_matrix:
+    for row in c["a_matrix"]:
         lines.append(f"  A row              {row[0]:+.6f} {row[1]:+.6f} {row[2]:+.6f}")
-    ev = c.eigenvalues
+    ev = c["eigenvalues"]
     lines.append(f"  eigenvalues        {ev[0]:+.6f} {ev[1]:+.6f} {ev[2]:+.6f}")
-    lines.append(f"  col                {c.col:+.6f}")
-    ax = c.optimal_axis
+    lines.append(f"  col                {c['col']:+.6f}")
+    ax = c["optimal_axis"]
     lines.append(f"  optimal_axis       {ax[0]:+.6f} {ax[1]:+.6f} {ax[2]:+.6f}")
-    lines.append(f"  degenerate         {'yes' if c.degenerate else 'no'}")
+    lines.append(f"  degenerate         {'yes' if c['degenerate'] else 'no'}")
     return lines
 
 
@@ -186,8 +128,8 @@ def build_report(
     sha256: str,
     axis=None,
     align_optimal: bool = False,
-) -> AnalysisReport:
-    """Compute every reported quantity and re-assert the cross identities."""
+) -> dict:
+    """The ``analyze --json`` document, after re-asserting the cross identities."""
     blocks = build_overlap_blocks(det)
     n_alpha, n_beta = electron_counts(blocks)
     decomposition = decompose_s2(blocks)
@@ -208,40 +150,41 @@ def build_report(
     if eig_residual > 1e-9:
         raise SpincolError(f"optimal axis eigen-residual {eig_residual:.3e} exceeds 1e-9")
 
-    axis_query = None
+    doc = {
+        "tool": "spincol",
+        "version": __version__,
+        "input": {"path": path, "sha256": sha256},
+        "basis_dim": det.basis_dim,
+        "n_electrons": det.n_electrons,
+        "electron_counts": {"n_alpha": n_alpha, "n_beta": n_beta},
+        "expectations": {
+            "sz": vector.sz,
+            "sz2": sz2,
+            "sminus_splus": sminus_splus,
+            "splus_sminus": splus_sminus,
+            "splus": {"re": vector.sx, "im": vector.sy},
+            "s2": s2,
+        },
+        "decomposition": _decomposition_dict(decomposition),
+        "spin_vector": {"sx": vector.sx, "sy": vector.sy, "sz": vector.sz},
+        "collinearity": _collinearity_dict(collin),
+    }
     if axis is not None:
         axis = np.asarray(axis, dtype=float)
         norm = float(np.linalg.norm(axis))
+        if not np.isfinite(norm):
+            raise SpincolError(f"--axis direction {axis.tolist()} has no finite norm")
         if norm == 0.0:
             raise SpincolError("--axis direction must be nonzero")
         axis = axis / norm
-        axis_query = (axis, float(axis @ collin.a_matrix @ axis))
-
-    aligned = None
+        doc["axis_query"] = {
+            "axis": list(map(float, axis)),
+            "col_along": float(axis @ collin.a_matrix @ axis),
+        }
     if align_optimal:
         tilted = align_to_axis(det, collin.optimal_axis)
-        aligned = decompose_s2(build_overlap_blocks(tilted))
-
-    return AnalysisReport(
-        input_path=path,
-        input_sha256=sha256,
-        version=__version__,
-        basis_dim=det.basis_dim,
-        n_electrons=det.n_electrons,
-        n_alpha=n_alpha,
-        n_beta=n_beta,
-        sz=vector.sz,
-        sz2=sz2,
-        sminus_splus=sminus_splus,
-        splus_sminus=splus_sminus,
-        splus=complex(vector.sx, vector.sy),
-        s2=s2,
-        decomposition=decomposition,
-        vector=vector,
-        collinearity=collin,
-        axis_query=axis_query,
-        aligned_decomposition=aligned,
-    )
+        doc["aligned_decomposition"] = _decomposition_dict(decompose_s2(build_overlap_blocks(tilted)))
+    return doc
 
 
 def _assert_consistent(deviation: float, what: str) -> None:
@@ -292,20 +235,14 @@ def _cmd_analyze(args) -> int:
         axis=args.axis,
         align_optimal=args.align_optimal,
     )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=1))
-    else:
-        print(report.render_text())
+    print(json.dumps(report, indent=1) if args.json else _report_text(report))
     return 0
 
 
 def _cmd_axis(args) -> int:
     det = _load(args.file, args.orthonormalize)
-    collin = analyze_collinearity(build_overlap_blocks(det))
-    if args.json:
-        print(json.dumps(_collinearity_dict(collin), indent=1))
-    else:
-        print("\n".join(_collinearity_text(collin)))
+    collin = _collinearity_dict(analyze_collinearity(build_overlap_blocks(det)))
+    print(json.dumps(collin, indent=1) if args.json else "\n".join(_collinearity_text(collin)))
     return 0
 
 

@@ -111,7 +111,8 @@ def _check_unit(u) -> np.ndarray:
     if u.shape != (3,):
         raise NotUnitVector(f"direction must be a 3-vector, got shape {u.shape}")
     norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > UNIT_VECTOR_TOL:
+    # Written so that a NaN norm fails the gate too.
+    if not abs(norm - 1.0) <= UNIT_VECTOR_TOL:
         raise NotUnitVector(f"direction has norm {norm!r}, expected 1 within 1e-10")
     return u
 
@@ -141,13 +142,16 @@ def min_collinearity(a) -> CollinearityResult:
     then of e_y, is used instead.  A fully degenerate A thus gives z, and an
     eigenspace equal to the xy-plane gives x.
 
-    Raises ``NotSymmetric`` if ``a`` deviates from symmetry beyond 1e-10.
+    Raises ``NotSymmetric`` if ``a`` deviates from symmetry beyond 1e-10 or
+    has a non-finite entry.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise NotSymmetric(f"expected a 3x3 matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
-        raise NotSymmetric("matrix is not symmetric within 1e-10")
+    asymmetry = float(np.max(np.abs(a - a.T)))
+    # A non-finite entry makes the asymmetry NaN, which must fail the gate too.
+    if not asymmetry <= SYMMETRY_TOL:
+        raise NotSymmetric(f"matrix asymmetry {asymmetry!r} is not within 1e-10")
     sym = 0.5 * (a + a.T)
     values, vectors = np.linalg.eigh(sym)
     for k in range(3):

@@ -12,22 +12,25 @@ and Sz to it once each (Sx psi and Sy psi are their combinations), and reads
 every observable as an inner product: <A> = <psi|A psi> and
 <AB> = <A^dagger psi|B psi>.
 
-Conventions: spin-orbitals are ordered 1a < 2a < ... < Ma < 1b < ... < Mb; a
-pattern is a bitmask over 2M bits with bit p = (p+1)a and bit M+p = (p+1)b;
+Conventions: spin-orbitals are ordered 1a < 2a < ... < Ma < 1b < ... < Mb
+(row p of the stacked coefficients is (p+1)a, row M+p is (p+1)b); a pattern
+is the ascending tuple of its occupied rows, and a Fock vector holds one
+amplitude per pattern in ``itertools.combinations(range(2M), Ne)`` order;
 minors take rows in ascending order, and fermionic signs count occupied modes
-below the acted-on bit.
+below the acted-on mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .determinant import SpinorDeterminant, to_identity_metric
-from .errors import MetricNotIdentity, TooLarge
+from .errors import DimensionMismatch, MetricNotIdentity, TooLarge
 
 PATTERN_GUARD = 10_000
 BASIS_GUARD = 6
@@ -35,49 +38,45 @@ BASIS_GUARD = 6
 
 @dataclass(frozen=True)
 class FockVector:
-    """State in the Ne-electron sector: occupation bitmask -> complex amplitude."""
+    """State in the Ne-electron sector of 2M spin-orbitals.
+
+    ``amplitudes[k]`` is the complex amplitude of the k-th occupation pattern
+    of ``itertools.combinations(range(2 * m_spatial), n_electrons)``, the
+    lexicographic order of the ascending tuples of occupied spin-orbitals.
+    """
 
     m_spatial: int
     n_electrons: int
-    amplitudes: dict
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        n_patterns = comb(2 * self.m_spatial, self.n_electrons)
+        if amplitudes.shape != (n_patterns,):
+            raise DimensionMismatch(
+                f"amplitudes have shape {amplitudes.shape}, expected ({n_patterns},)"
+            )
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+        return float(np.linalg.norm(self.amplitudes))
 
     def inner(self, other: "FockVector") -> complex:
-        if len(self.amplitudes) > len(other.amplitudes):
-            return complex(
-                sum(
-                    self.amplitudes[p].conjugate() * a
-                    for p, a in other.amplitudes.items()
-                    if p in self.amplitudes
-                )
-            )
-        return complex(
-            sum(
-                a.conjugate() * other.amplitudes[p]
-                for p, a in self.amplitudes.items()
-                if p in other.amplitudes
-            )
-        )
-
-    def scaled(self, factor: complex) -> "FockVector":
-        return FockVector(
-            self.m_spatial,
-            self.n_electrons,
-            {p: factor * a for p, a in self.amplitudes.items()},
-        )
-
-    def add(self, other: "FockVector") -> "FockVector":
-        merged = dict(self.amplitudes)
-        for p, a in other.amplitudes.items():
-            merged[p] = merged.get(p, 0.0) + a
-        return FockVector(self.m_spatial, self.n_electrons, merged)
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def _phase(mask: int, bit: int) -> int:
-    """(-1)**(number of occupied modes below ``bit``)."""
-    return -1 if (mask & ((1 << bit) - 1)).bit_count() & 1 else 1
+@lru_cache(maxsize=16)
+def _sector(m: int, ne: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied rows (patterns x Ne) and occupation matrix (patterns x 2M) of a sector.
+
+    Both are read-only because every caller shares them.
+    """
+    rows = np.array(list(combinations(range(2 * m), ne)), dtype=np.intp)
+    occupied = np.zeros((len(rows), 2 * m), dtype=bool)
+    occupied[np.arange(len(rows))[:, None], rows] = True
+    rows.setflags(write=False)
+    occupied.setflags(write=False)
+    return rows, occupied
 
 
 def expand(det: SpinorDeterminant) -> FockVector:
@@ -93,27 +92,29 @@ def expand(det: SpinorDeterminant) -> FockVector:
     n_patterns = comb(2 * m, ne)
     if n_patterns > PATTERN_GUARD:
         raise TooLarge(f"{n_patterns} occupation patterns exceed the guard of {PATTERN_GUARD}")
-    patterns = list(combinations(range(2 * m), ne))
-    minors = np.linalg.det(det.stacked()[np.array(patterns)])
-    amplitudes = {sum(1 << r for r in rows): complex(a) for rows, a in zip(patterns, minors)}
-    return FockVector(m_spatial=m, n_electrons=ne, amplitudes=amplitudes)
+    rows, _ = _sector(m, ne)
+    return FockVector(m_spatial=m, n_electrons=ne, amplitudes=np.linalg.det(det.stacked()[rows]))
 
 
 def _apply_ladder(vec: FockVector, from_offset: int, to_offset: int) -> FockVector:
-    """sum_p a+_{p,to} a_{p,from} with fermionic signs."""
+    """sum_p a+_{p,to} a_{p,from} with fermionic signs.
+
+    Moving one electron from mode src to mode dst keeps every other
+    occupation, and that preserves the combinations order: the k-th pattern
+    with src occupied and dst empty lands on the k-th pattern with dst
+    occupied and src empty.  The sign is (-1)**(occupied modes strictly
+    between src and dst).
+    """
     m = vec.m_spatial
-    out = {}
-    for mask, amp in vec.amplitudes.items():
-        for p in range(m):
-            src = p + from_offset
-            dst = p + to_offset
-            if not (mask >> src) & 1 or (mask >> dst) & 1:
-                continue
-            sign = _phase(mask, src)
-            cleared = mask & ~(1 << src)
-            sign *= _phase(cleared, dst)
-            new_mask = cleared | (1 << dst)
-            out[new_mask] = out.get(new_mask, 0.0) + sign * amp
+    _, occupied = _sector(m, vec.n_electrons)
+    out = np.zeros_like(vec.amplitudes)
+    for p in range(m):
+        src, dst = p + from_offset, p + to_offset
+        lo, hi = sorted((src, dst))
+        movers = occupied[:, src] & ~occupied[:, dst]
+        landed = occupied[:, dst] & ~occupied[:, src]
+        passed = occupied[movers, lo + 1 : hi].sum(axis=1)
+        out[landed] += np.where(passed % 2, -1.0, 1.0) * vec.amplitudes[movers]
     return FockVector(m, vec.n_electrons, out)
 
 
@@ -121,13 +122,10 @@ def apply_spin(vec: FockVector, op: str) -> FockVector:
     """Act with one of Sz, S+, S-, Sx, Sy on a Fock-space vector."""
     m = vec.m_spatial
     if op == "Sz":
-        alpha_mask = (1 << m) - 1
-        out = {}
-        for mask, amp in vec.amplitudes.items():
-            n_a = (mask & alpha_mask).bit_count()
-            n_b = (mask >> m).bit_count()
-            out[mask] = 0.5 * (n_a - n_b) * amp
-        return FockVector(m, vec.n_electrons, out)
+        _, occupied = _sector(m, vec.n_electrons)
+        n_alpha = occupied[:, :m].sum(axis=1)
+        n_beta = occupied[:, m:].sum(axis=1)
+        return FockVector(m, vec.n_electrons, 0.5 * (n_alpha - n_beta) * vec.amplitudes)
     if op == "S+":
         return _apply_ladder(vec, from_offset=m, to_offset=0)
     if op == "S-":
@@ -140,8 +138,10 @@ def apply_spin(vec: FockVector, op: str) -> FockVector:
 def _cartesian(op: str, plus: FockVector, minus: FockVector) -> FockVector:
     """Sx = (S+ + S-)/2 or Sy = (S+ - S-)/2i, given S+ and S- applied to one vector."""
     if op == "Sx":
-        return plus.add(minus).scaled(0.5)
-    return plus.add(minus.scaled(-1.0)).scaled(-0.5j)
+        amplitudes = 0.5 * (plus.amplitudes + minus.amplitudes)
+    else:
+        amplitudes = -0.5j * (plus.amplitudes - minus.amplitudes)
+    return FockVector(plus.m_spatial, plus.n_electrons, amplitudes)
 
 
 def oracle_expectation(det: SpinorDeterminant) -> dict[str, complex]:

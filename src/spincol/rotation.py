@@ -27,6 +27,11 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _is_unit(v: np.ndarray) -> bool:
+    """A 3-vector of norm 1 within 1e-10; false for a NaN or infinite entry."""
+    return v.shape == (3,) and abs(np.linalg.norm(v) - 1.0) <= _AXIS_TOL
+
+
 @dataclass(frozen=True)
 class SpinRotation:
     """Rotation of the spin frame by ``angle`` radians about unit ``axis``."""
@@ -36,7 +41,7 @@ class SpinRotation:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > _AXIS_TOL:
+        if not _is_unit(axis):
             raise NotUnitVector("rotation axis must be a unit 3-vector")
         axis = axis.copy()
         axis.setflags(write=False)
@@ -78,7 +83,7 @@ def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:
     axis-construction singularity.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > _AXIS_TOL:
+    if not _is_unit(u):
         raise NotUnitVector("alignment direction must be a unit 3-vector")
     uz = u[2]
     if uz >= 1.0 - _POLE_TOL:

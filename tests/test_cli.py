@@ -100,9 +100,25 @@ def test_load_rejects_missing_field(tmp_path):
         load_determinant(_write(tmp_path, "missing.json", '{"basis_dim": 1}'))
 
 
-def test_load_rejects_bad_entry(tmp_path):
-    doc = '{"basis_dim": 1, "n_electrons": 1, "coeff_alpha": [[[1]]], "coeff_beta": [[[0, 0]]]}'
-    with pytest.raises(ParseError):
+@pytest.mark.parametrize(
+    "coeff_alpha,error",
+    [
+        pytest.param("[[[1]]]", ParseError, id="short-pair"),
+        pytest.param("[[[1, 0, 0]]]", ParseError, id="long-pair"),
+        pytest.param("[[[true, 0]]]", ParseError, id="bool"),
+        pytest.param('[[["1", 0]]]', ParseError, id="string"),
+        pytest.param("[[[null, 0]]]", ParseError, id="null"),
+        pytest.param("[[1]]", ParseError, id="bare-number"),
+        pytest.param("[1]", ParseError, id="row-not-array"),
+        pytest.param("[[[1, 0], [0, 0]]]", ShapeError, id="row-entry-count"),
+    ],
+)
+def test_load_rejects_bad_entry(tmp_path, coeff_alpha, error):
+    doc = (
+        f'{{"basis_dim": 1, "n_electrons": 1, "coeff_alpha": {coeff_alpha}, '
+        '"coeff_beta": [[[0, 0]]]}'
+    )
+    with pytest.raises(error):
         load_determinant(_write(tmp_path, "pair.json", doc))
 
 
@@ -175,6 +191,16 @@ def test_analyze_axis_query(tmp_path, capsys):
     assert doc["axis_query"]["col_along"] == pytest.approx(
         doc["decomposition"]["z_noncollinearity"], abs=1e-12
     )
+
+
+@pytest.mark.parametrize("component", ["nan", "inf"])
+def test_analyze_axis_rejects_non_finite(tmp_path, capsys, component):
+    # A non-finite axis would put NaN into the report, which is not strict JSON.
+    path = _gen_file(tmp_path, capsys)
+    assert run(["analyze", path, "--json", "--axis", component, "0", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SpincolError" in captured.err and "--axis" in captured.err
 
 
 def test_analyze_align_optimal(tmp_path, capsys):

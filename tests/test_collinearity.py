@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from spincol import (
+    FockVector,
     NotSymmetric,
     NotUnitVector,
     SpinRotation,
@@ -99,6 +100,13 @@ def test_col_along_rejects_non_unit():
         col_along(blocks, np.array([1.0, 0.0]))
 
 
+def test_col_along_rejects_nan_direction():
+    # NaN passes a "deviation > tol" gate.
+    blocks = build_overlap_blocks(helpers.pure_alpha_one_electron())
+    with pytest.raises(NotUnitVector):
+        col_along(blocks, [np.nan, 0.0, 0.0])
+
+
 def test_reference_matrix_z_variance():
     z_noncol = float(Z @ H2OPLUS_A_MATRIX @ Z)
     assert z_noncol == pytest.approx(0.000461, abs=1e-12)
@@ -144,6 +152,14 @@ def test_min_collinearity_rejects_asymmetry():
         min_collinearity(bad)
     with pytest.raises(NotSymmetric):
         min_collinearity(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_min_collinearity_rejects_nan(entry):
+    a = np.eye(3)
+    a[entry] = a[entry[::-1]] = np.nan
+    with pytest.raises(NotSymmetric):
+        min_collinearity(a)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -227,10 +243,10 @@ def test_variance_identity_against_oracle(rng):
         det = gen_random_gchf(3, 2, seed)
         blocks = build_overlap_blocks(det)
         vec = expand(det)
-        parts = [apply_spin(vec, f"S{mu}") for mu in "xyz"]
+        parts = [apply_spin(vec, f"S{mu}").amplitudes for mu in "xyz"]
         for _ in range(100):
             u = helpers.random_unit_vector(rng)
-            projected = parts[0].scaled(u[0]).add(parts[1].scaled(u[1])).add(parts[2].scaled(u[2]))
+            projected = FockVector(3, 2, u[0] * parts[0] + u[1] * parts[1] + u[2] * parts[2])
             second_moment = projected.inner(projected).real
             first_moment = vec.inner(projected).real
             variance = second_moment - first_moment**2

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import helpers
 from spincol import (
+    DimensionMismatch,
     FockVector,
     MetricNotIdentity,
     SpinorDeterminant,
@@ -28,18 +29,42 @@ from spincol import (
 )
 
 
+def _masks(m, ne):
+    """Occupation bitmask of each pattern, in the order of FockVector.amplitudes.
+
+    Bit p is spin-orbital p of the stacked coefficients: (p+1)a for p < M,
+    (p+1-M)b above.
+    """
+    return [sum(1 << r for r in rows) for rows in combinations(range(2 * m), ne)]
+
+
+def _amp(vec, mask):
+    return vec.amplitudes[_masks(vec.m_spatial, vec.n_electrons).index(mask)]
+
+
+def _vector(m, ne, by_mask):
+    """FockVector from {bitmask: amplitude}; absent patterns are zero."""
+    return FockVector(m, ne, [by_mask.get(mask, 0.0) for mask in _masks(m, ne)])
+
+
+def _nonzero(vec):
+    """{bitmask: amplitude} of the nonzero amplitudes."""
+    masks = _masks(vec.m_spatial, vec.n_electrons)
+    return {mask: a for mask, a in zip(masks, vec.amplitudes) if a != 0}
+
+
 def test_expand_pure_alpha_single_pattern():
     vec = expand(helpers.pure_alpha_one_electron())
     assert len(vec.amplitudes) == comb(2, 1)
-    assert vec.amplitudes[0b01] == pytest.approx(1.0)
-    assert vec.amplitudes[0b10] == pytest.approx(0.0)
+    assert _amp(vec, 0b01) == pytest.approx(1.0)
+    assert _amp(vec, 0b10) == pytest.approx(0.0)
 
 
 def test_expand_x_polarized_two_patterns():
     vec = expand(helpers.x_polarized_one_electron())
     r = 1.0 / np.sqrt(2.0)
-    assert vec.amplitudes[0b01] == pytest.approx(r)
-    assert vec.amplitudes[0b10] == pytest.approx(r)
+    assert _amp(vec, 0b01) == pytest.approx(r)
+    assert _amp(vec, 0b10) == pytest.approx(r)
 
 
 def test_expand_elementary_determinant_and_column_swap_sign():
@@ -48,8 +73,8 @@ def test_expand_elementary_determinant_and_column_swap_sign():
     straight = SpinorDeterminant(2, 2, [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)))
     swapped = SpinorDeterminant(2, 2, [[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2)))
     mask = 0b0011
-    assert expand(straight).amplitudes[mask] == pytest.approx(1.0)
-    assert expand(swapped).amplitudes[mask] == pytest.approx(-1.0)
+    assert _amp(expand(straight), mask) == pytest.approx(1.0)
+    assert _amp(expand(swapped), mask) == pytest.approx(-1.0)
 
 
 def test_expand_counts_all_patterns():
@@ -63,8 +88,8 @@ def test_expand_amplitudes_are_the_minors(m, ne, seed):
     det = gen_random_gchf(m, ne, seed)
     w = det.stacked()
     vec = expand(det)
-    for rows in combinations(range(2 * m), ne):
-        assert vec.amplitudes[sum(1 << r for r in rows)] == np.linalg.det(w[list(rows)])
+    for k, rows in enumerate(combinations(range(2 * m), ne)):
+        assert vec.amplitudes[k] == np.linalg.det(w[list(rows)])
 
 
 def test_expand_norm_cauchy_binet():
@@ -105,46 +130,77 @@ def test_oracle_guard_rail_on_basis_size():
 
 
 def test_apply_sz_is_diagonal():
-    vec = FockVector(1, 1, {0b01: 1.0})
+    vec = _vector(1, 1, {0b01: 1.0})
     out = apply_spin(vec, "Sz")
-    assert out.amplitudes == {0b01: 0.5}
+    assert _nonzero(out) == {0b01: 0.5}
 
 
 def test_apply_splus_raises_beta():
-    vec = FockVector(1, 1, {0b10: 1.0})
+    vec = _vector(1, 1, {0b10: 1.0})
     out = apply_spin(vec, "S+")
-    assert out.amplitudes == {0b01: 1.0}
-    assert apply_spin(out, "S+").amplitudes == {}
+    assert _nonzero(out) == {0b01: 1.0}
+    assert _nonzero(apply_spin(out, "S+")) == {}
 
 
 def test_apply_sminus_lowers_alpha():
-    vec = FockVector(1, 1, {0b01: 1.0})
-    assert apply_spin(vec, "S-").amplitudes == {0b10: 1.0}
+    vec = _vector(1, 1, {0b01: 1.0})
+    assert _nonzero(apply_spin(vec, "S-")) == {0b10: 1.0}
+
+
+def test_ladder_signs_count_the_modes_passed():
+    # M = 2, bits 1a 2a 1b 2b.  0b0110 is (2a, 1b): moving 1b to 1a passes the
+    # occupied 2a.  From 0b0011 = (1a, 2a), 1a -> 1b passes 2a, 2a -> 2b passes nothing.
+    assert _nonzero(apply_spin(_vector(2, 2, {0b0110: 1.0}), "S+")) == {0b0011: -1.0}
+    assert _nonzero(apply_spin(_vector(2, 2, {0b0011: 1.0}), "S-")) == {0b0110: -1.0, 0b1001: 1.0}
 
 
 def test_splus_annihilates_closed_shell():
     det = gen_rhf(np.array([[1.0]]))
     vec = expand(det)
     raised = apply_spin(vec, "S+")
-    assert all(abs(a) < 1e-15 for a in raised.amplitudes.values())
+    assert all(abs(a) < 1e-15 for a in raised.amplitudes)
 
 
 def _random_fock_vector(rng, m, ne):
-    patterns = list(combinations(range(2 * m), ne))
-    amps = rng.standard_normal(len(patterns)) + 1j * rng.standard_normal(len(patterns))
-    amps /= np.linalg.norm(amps)
-    vec = {}
-    for rows, a in zip(patterns, amps):
-        mask = 0
-        for r in rows:
-            mask |= 1 << r
-        vec[mask] = complex(a)
-    return FockVector(m, ne, vec)
+    n_patterns = comb(2 * m, ne)
+    amps = rng.standard_normal(n_patterns) + 1j * rng.standard_normal(n_patterns)
+    return FockVector(m, ne, amps / np.linalg.norm(amps))
 
 
 def _max_amp_diff(u, v):
-    keys = set(u.amplitudes) | set(v.amplitudes)
-    return max((abs(u.amplitudes.get(k, 0.0) - v.amplitudes.get(k, 0.0)) for k in keys), default=0.0)
+    return np.max(np.abs(u - v))
+
+
+def _ladder_by_loop(vec, from_offset, to_offset):
+    """Reference for S+ and S-: sum_p a+_{p,to} a_{p,from}, pattern by pattern on bitmasks."""
+    m, ne = vec.m_spatial, vec.n_electrons
+    out = {}
+    for mask, amp in zip(_masks(m, ne), vec.amplitudes):
+        for p in range(m):
+            src, dst = p + from_offset, p + to_offset
+            if not (mask >> src) & 1 or (mask >> dst) & 1:
+                continue
+            cleared = mask & ~(1 << src)
+            below = (mask & ((1 << src) - 1)).bit_count() + (cleared & ((1 << dst) - 1)).bit_count()
+            target = cleared | (1 << dst)
+            out[target] = out.get(target, 0.0) + (-1) ** below * amp
+    return _vector(m, ne, out)
+
+
+def test_ladders_match_the_bitmask_loop(rng):
+    # Each target sums at most M signed amplitudes of a unit vector, in another order.
+    for m in range(1, 5):
+        for ne in range(1, 2 * m + 1):
+            v = _random_fock_vector(rng, m, ne)
+            for op, offsets in (("S+", (m, 0)), ("S-", (0, m))):
+                expected = _ladder_by_loop(v, *offsets).amplitudes
+                deviation = _max_amp_diff(apply_spin(v, op).amplitudes, expected)
+                assert deviation <= m * np.finfo(float).eps, (m, ne, op)
+
+
+def test_fock_vector_rejects_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        FockVector(2, 2, np.zeros(5))
 
 
 def test_su2_commutators_on_random_vectors(rng):
@@ -153,15 +209,15 @@ def test_su2_commutators_on_random_vectors(rng):
         ne = int(rng.integers(1, 2 * m + 1))
         v = _random_fock_vector(rng, m, ne)
 
-        plus_minus = apply_spin(apply_spin(v, "S-"), "S+")
-        minus_plus = apply_spin(apply_spin(v, "S+"), "S-")
-        commutator = plus_minus.add(minus_plus.scaled(-1.0))
-        assert _max_amp_diff(commutator, apply_spin(v, "Sz").scaled(2.0)) < 1e-12
+        plus_minus = apply_spin(apply_spin(v, "S-"), "S+").amplitudes
+        minus_plus = apply_spin(apply_spin(v, "S+"), "S-").amplitudes
+        commutator = plus_minus - minus_plus
+        assert _max_amp_diff(commutator, 2.0 * apply_spin(v, "Sz").amplitudes) < 1e-12
 
         for op, sign in (("S+", 1.0), ("S-", -1.0)):
-            left = apply_spin(apply_spin(v, op), "Sz")
-            right = apply_spin(apply_spin(v, "Sz"), op)
-            assert _max_amp_diff(left.add(right.scaled(-1.0)), apply_spin(v, op).scaled(sign)) < 1e-12
+            left = apply_spin(apply_spin(v, op), "Sz").amplitudes
+            right = apply_spin(apply_spin(v, "Sz"), op).amplitudes
+            assert _max_amp_diff(left - right, sign * apply_spin(v, op).amplitudes) < 1e-12
 
 
 def test_spin_operators_hermitian(rng):
@@ -214,6 +270,6 @@ def test_oracle_handles_metric_by_transforming():
 
 
 def test_unknown_operator_rejected():
-    vec = FockVector(1, 1, {0b01: 1.0})
+    vec = _vector(1, 1, {0b01: 1.0})
     with pytest.raises(ValueError):
         apply_spin(vec, "S?")

@@ -74,6 +74,11 @@ def test_rotation_axis_must_be_unit():
         SpinRotation(np.array([1.0, 1.0, 0.0]), 0.5)
 
 
+def test_rotation_axis_rejects_nan():
+    with pytest.raises(NotUnitVector):
+        SpinRotation(np.array([np.nan, 0.0, 0.0]), 0.5)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_rotation_covariance(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -130,6 +135,12 @@ def test_align_antipodal_direction():
 def test_align_requires_unit_vector():
     with pytest.raises(NotUnitVector):
         align_to_axis(helpers.pure_alpha_one_electron(), np.array([0.0, 0.0, 2.0]))
+
+
+def test_align_rejects_nan_direction():
+    # The gate must catch it, not the finiteness check on the rotated coefficients.
+    with pytest.raises(NotUnitVector):
+        align_to_axis(helpers.pure_alpha_one_electron(), np.array([np.nan, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("seed", range(6))
