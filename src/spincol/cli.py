@@ -15,6 +15,7 @@ Text reports print six decimals; JSON reports print full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -171,12 +172,14 @@ def build_report(
     }
     if axis is not None:
         axis = np.asarray(axis, dtype=float)
-        norm = float(np.linalg.norm(axis))
-        if not np.isfinite(norm):
-            raise SpincolError(f"--axis direction {axis.tolist()} has no finite norm")
-        if norm == 0.0:
+        # Scale by the largest component first, so the norm neither under- nor overflows.
+        scale = float(np.max(np.abs(axis)))
+        if not np.isfinite(scale):
+            raise SpincolError(f"--axis direction {axis.tolist()} is not finite")
+        if scale == 0.0:
             raise SpincolError("--axis direction must be nonzero")
-        axis = axis / norm
+        axis = axis / scale
+        axis = axis / np.linalg.norm(axis)
         doc["axis_query"] = {
             "axis": list(map(float, axis)),
             "col_along": float(axis @ collin.a_matrix @ axis),
@@ -220,8 +223,9 @@ def oracle_rows(det: SpinorDeterminant) -> list[tuple[str, complex, complex, flo
     ]
 
 
-def _fmt_value(z: complex) -> str:
-    if z.imag == 0.0:
+def _fmt_value(z: complex, label: str) -> str:
+    # <S+> is the only complex observable; the others are real up to rounding residue.
+    if label != "<S+>":
         return f"{z.real:+.12f}"
     return f"{z.real:+.12f}{z.imag:+.12f}i"
 
@@ -251,7 +255,10 @@ def _cmd_oracle_check(args) -> int:
     rows = oracle_rows(det)
     width = max(len(label) for label, *_ in rows)
     for label, formula, oracle, dev in rows:
-        print(f"{label:<{width}}  formula {_fmt_value(formula)}  oracle {_fmt_value(oracle)}  |dev| {dev:.3e}")
+        print(
+            f"{label:<{width}}  formula {_fmt_value(formula, label)}  "
+            f"oracle {_fmt_value(oracle, label)}  |dev| {dev:.3e}"
+        )
     max_dev = max(dev for *_, dev in rows)
     print(f"max deviation: {max_dev:.3e}")
     if max_dev > ORACLE_CHECK_TOL:
@@ -305,7 +312,9 @@ def _load(path: str, do_orthonormalize: bool) -> SpinorDeterminant:
     return load_determinant(path)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spincol",
         description="Spin expectation values, <S^2> decomposition and collinearity "

@@ -4,13 +4,15 @@ A determinant file is a UTF-8 JSON document with integer fields ``basis_dim``
 and ``n_electrons``, complex matrices ``coeff_alpha`` and ``coeff_beta``
 (row-major, basis_dim rows of n_electrons entries, each entry a two-element
 array [re, im]), and an optional ``ao_overlap`` (basis_dim x basis_dim, same
-entry encoding).  One determinant per file.
+entry encoding).  One determinant per file.  ``save_determinant`` writes one
+matrix row per line; the reader accepts any JSON whitespace.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,8 @@ from .determinant import ORTHONORMALITY_INPUT_TOL, SpinorDeterminant
 from .errors import NotOrthonormal, ParseError, ShapeError
 
 _REQUIRED_FIELDS = ("basis_dim", "n_electrons", "coeff_alpha", "coeff_beta")
+# Exact types, as json.loads produces them: bool, a subclass of int, is excluded.
+_NUMBER_TYPES = {int, float}
 
 
 def _parse_int(doc: dict, field: str) -> int:
@@ -34,21 +38,39 @@ def _parse_complex_matrix(doc: dict, field: str, rows: int, cols: int) -> np.nda
         raise ParseError(f"field {field!r} must be an array of rows")
     if len(raw) != rows:
         raise ShapeError(f"field {field!r} has {len(raw)} rows, expected {rows}")
-    out = np.empty((rows, cols), dtype=complex)
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise ParseError(f"row {i} of {field!r} is not an array")
         if len(row) != cols:
             raise ShapeError(f"row {i} of {field!r} has {len(row)} entries, expected {cols}")
+    # Whole-matrix checks in C-level passes; only a failure walks the entries.
+    pairs = list(chain.from_iterable(raw))
+    if (
+        set(map(type, pairs)) != {list}
+        or set(map(len, pairs)) != {2}
+        or not set(map(type, chain.from_iterable(pairs))) <= _NUMBER_TYPES
+    ):
+        raise _bad_entry(raw, field)
+    try:
+        values = np.array(pairs, dtype=np.float64)
+    except OverflowError:
+        raise _bad_entry(raw, field) from None
+    # (re, im) float pairs are complex128's memory layout, so the view keeps every bit.
+    return values.view(np.complex128).reshape(rows, cols)
+
+
+def _bad_entry(raw: list, field: str) -> ParseError:
+    """The error naming the first bad entry of a matrix whose rows passed their checks."""
+    for i, row in enumerate(raw):
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-            ):
-                raise ParseError(f"entry [{i}][{j}] of {field!r} is not a [re, im] number pair")
-            out[i, j] = complex(pair[0], pair[1])
-    return out
+            where = f"entry [{i}][{j}] of {field!r}"
+            if type(pair) is not list or len(pair) != 2 or not set(map(type, pair)) <= _NUMBER_TYPES:
+                return ParseError(f"{where} is not a [re, im] number pair")
+            try:
+                complex(*pair)
+            except OverflowError:
+                return ParseError(f"{where} holds a number too large for a double")
+    return ParseError(f"field {field!r} is not a matrix of [re, im] number pairs")
 
 
 def parse_determinant(path) -> SpinorDeterminant:
@@ -106,21 +128,23 @@ def load_determinant(path) -> SpinorDeterminant:
     return det
 
 
-def _encode_matrix(matrix: np.ndarray) -> list:
-    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
-
-
 def save_determinant(det: SpinorDeterminant, path) -> None:
-    """Write a determinant file (full double precision, round-trip exact)."""
-    doc = {
-        "basis_dim": det.basis_dim,
-        "n_electrons": det.n_electrons,
-        "coeff_alpha": _encode_matrix(det.coeff_alpha),
-        "coeff_beta": _encode_matrix(det.coeff_beta),
-    }
+    """Write a determinant file (full double precision, round-trip exact).
+
+    One matrix row per line, each encoded by ``json``'s C encoder; an
+    ``indent`` would switch the whole document to the pure-Python encoder.
+    """
+    matrices = {"coeff_alpha": det.coeff_alpha, "coeff_beta": det.coeff_beta}
     if det.ao_overlap is not None:
-        doc["ao_overlap"] = _encode_matrix(det.ao_overlap)
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        matrices["ao_overlap"] = det.ao_overlap
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f'{{\n "basis_dim": {det.basis_dim},\n "n_electrons": {det.n_electrons}')
+        for field, matrix in matrices.items():
+            rows = np.stack((matrix.real, matrix.imag), axis=-1).tolist()
+            fh.write(f',\n "{field}": [\n  ')
+            fh.write(",\n  ".join(map(json.dumps, rows)))
+            fh.write("\n ]")
+        fh.write("\n}\n")
 
 
 def file_sha256(path) -> str:

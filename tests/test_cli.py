@@ -1,6 +1,11 @@
 """File format round trips and the command line contract."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from spincol import (
     save_determinant,
 )
 from spincol.cli import run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PURE_ALPHA_DOC = """
 {
@@ -71,6 +78,45 @@ def test_save_parse_round_trip_is_bit_exact(tmp_path):
         assert getattr(loaded, name).tobytes() == getattr(det, name).tobytes(), name
 
 
+def test_save_parse_round_trip_is_bit_exact_without_metric(tmp_path):
+    det = gen_random_gchf(3, 2, seed=5)
+    coeff_beta = det.coeff_beta.copy()
+    coeff_beta[0, 0] = complex(5e-324, -0.0)
+    coeff_beta[2, 1] = complex(-0.0, 1e300)
+    det = SpinorDeterminant(3, 2, det.coeff_alpha, coeff_beta)
+    path = tmp_path / "det.json"
+    save_determinant(det, path)
+    loaded = parse_determinant(path)
+    assert loaded.ao_overlap is None
+    for name in ("coeff_alpha", "coeff_beta"):
+        assert getattr(loaded, name).tobytes() == getattr(det, name).tobytes(), name
+
+
+def test_saved_file_is_the_same_document_one_row_per_line(tmp_path):
+    det = helpers.random_metric_determinant(3, 2, seed=8)
+    path = tmp_path / "det.json"
+    save_determinant(det, path)
+    text = path.read_text(encoding="utf-8")
+
+    def pairs(matrix):
+        return [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+
+    expected = {
+        "basis_dim": 3,
+        "n_electrons": 2,
+        "coeff_alpha": pairs(det.coeff_alpha),
+        "coeff_beta": pairs(det.coeff_beta),
+        "ao_overlap": pairs(det.ao_overlap),
+    }
+    doc = json.loads(text)
+    assert doc == expected
+    assert list(doc) == list(expected)
+    lines = text.splitlines()
+    # Braces, two integer fields, and per matrix an opening line, 3 rows and a closing line.
+    assert len(lines) == 4 + 3 * (1 + 3 + 1)
+    assert [json.loads(line.rstrip(",")) for line in lines[4:7]] == expected["coeff_alpha"]
+
+
 def test_load_minimal_pure_alpha(tmp_path):
     det = load_determinant(_write(tmp_path, "a.json", PURE_ALPHA_DOC))
     assert det.basis_dim == 1
@@ -111,6 +157,7 @@ def test_load_rejects_missing_field(tmp_path):
         pytest.param("[[1]]", ParseError, id="bare-number"),
         pytest.param("[1]", ParseError, id="row-not-array"),
         pytest.param("[[[1, 0], [0, 0]]]", ShapeError, id="row-entry-count"),
+        pytest.param(f"[[[1{'0' * 400}, 0]]]", ParseError, id="huge-integer"),
     ],
 )
 def test_load_rejects_bad_entry(tmp_path, coeff_alpha, error):
@@ -118,8 +165,55 @@ def test_load_rejects_bad_entry(tmp_path, coeff_alpha, error):
         f'{{"basis_dim": 1, "n_electrons": 1, "coeff_alpha": {coeff_alpha}, '
         '"coeff_beta": [[[0, 0]]]}'
     )
-    with pytest.raises(error):
+    with pytest.raises(error, match="'coeff_alpha'"):
         load_determinant(_write(tmp_path, "pair.json", doc))
+
+
+# The pinned bad entries again, each inside a 3x2 matrix at row 1 (and again at
+# row 2, so only the first may be reported): (bad pair, bad row, error, where).
+_INTERIOR_CASES = [
+    pytest.param("[1]", None, ParseError, "entry [1][1]", id="short-pair"),
+    pytest.param("[1, 0, 0]", None, ParseError, "entry [1][1]", id="long-pair"),
+    pytest.param("[true, 0]", None, ParseError, "entry [1][1]", id="bool"),
+    pytest.param('["1", 0]', None, ParseError, "entry [1][1]", id="string"),
+    pytest.param("[0, null]", None, ParseError, "entry [1][1]", id="null"),
+    pytest.param("1", None, ParseError, "entry [1][1]", id="bare-number"),
+    pytest.param(None, "1", ParseError, "row 1", id="row-not-array"),
+    pytest.param(None, "[[0, 0], [0, 0], [0, 0]]", ShapeError, "row 1", id="row-entry-count"),
+    pytest.param(f"[0, -1{'0' * 400}]", None, ParseError, "entry [1][1]", id="huge-integer"),
+]
+
+
+@pytest.mark.parametrize("bad_pair,bad_row,error,where", _INTERIOR_CASES)
+def test_load_reports_first_bad_entry_position(tmp_path, bad_pair, bad_row, error, where):
+    rows = ["[[1, 0], [0, 0]]", "[[0, 0], [1, 0]]", "[[0, 0], [0, 0]]"]
+    if bad_pair is not None:
+        rows[1] = f"[[0, 0], {bad_pair}]"
+        rows[2] = f"[{bad_pair}, [0, 0]]"
+    else:
+        rows[1] = rows[2] = bad_row
+    zeros = "[" + ", ".join(["[[0, 0], [0, 0]]"] * 3) + "]"
+    doc = (
+        f'{{"basis_dim": 3, "n_electrons": 2, "coeff_alpha": [{", ".join(rows)}], '
+        f'"coeff_beta": {zeros}}}'
+    )
+    with pytest.raises(error) as info:
+        parse_determinant(_write(tmp_path, "interior.json", doc))
+    assert f"{where} of 'coeff_alpha'" in str(info.value)
+
+
+def test_valid_matrix_never_walks_entries(tmp_path, monkeypatch):
+    # Locating a bad entry loops over every entry in Python; valid input must not pay for it.
+    import spincol.io
+
+    def fail(*args):
+        raise AssertionError("the per-entry search ran on valid input")
+
+    monkeypatch.setattr(spincol.io, "_bad_entry", fail)
+    det = helpers.random_metric_determinant(4, 3, seed=1)
+    path = tmp_path / "det.json"
+    save_determinant(det, path)
+    assert parse_determinant(path).coeff_beta.tobytes() == det.coeff_beta.tobytes()
 
 
 def test_load_rejects_wrong_row_count(tmp_path):
@@ -193,6 +287,41 @@ def test_analyze_axis_query(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "components,expected",
+    [
+        (["1e-200", "0", "0"], [1.0, 0.0, 0.0]),
+        (["1e200", "1e200", "0"], [np.sqrt(0.5), np.sqrt(0.5), 0.0]),
+    ],
+)
+def test_analyze_axis_extreme_magnitudes(tmp_path, capsys, components, expected):
+    # A plain sum of squares under- or overflows for these valid directions.
+    path = _gen_file(tmp_path, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["analyze", path, "--json", "--axis", *components]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    axis = np.array(doc["axis_query"]["axis"])
+    assert np.max(np.abs(axis - expected)) <= 1e-15
+    a = np.array(doc["collinearity"]["a_matrix"])
+    assert doc["axis_query"]["col_along"] == pytest.approx(axis @ a @ axis, abs=1e-15)
+
+
+def test_analyze_axis_matches_plain_normalization(tmp_path, capsys):
+    path = _gen_file(tmp_path, capsys)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        # Positional notation: argparse reads "-1e-05" as an option, not a number.
+        components = [f"{x:.20f}" for x in rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4)]
+        assert run(["analyze", path, "--json", "--axis", *components]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        direction = np.array([float(c) for c in components])
+        plain = direction / np.linalg.norm(direction)
+        a = np.array(doc["collinearity"]["a_matrix"])
+        assert np.max(np.abs(np.array(doc["axis_query"]["axis"]) - plain)) <= 1e-15
+        assert abs(doc["axis_query"]["col_along"] - plain @ a @ plain) <= 1e-15
+
+
 @pytest.mark.parametrize("component", ["nan", "inf"])
 def test_analyze_axis_rejects_non_finite(tmp_path, capsys, component):
     # A non-finite axis would put NaN into the report, which is not strict JSON.
@@ -238,6 +367,20 @@ def test_oracle_check_passes_on_generated_file(tmp_path, capsys):
     max_dev = float(out.strip().splitlines()[-1].split()[-1])
     assert max_dev < 1e-10
     assert "<S^2>" in out
+
+
+def test_oracle_check_prints_imaginary_parts_only_for_splus(tmp_path, capsys):
+    # Over a metric the real observables carry rounding residue in their imaginary parts.
+    det = helpers.random_metric_determinant(3, 2, seed=4)
+    path = tmp_path / "metric.json"
+    save_determinant(det, path)
+    assert run(["oracle-check", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert len(rows) == 17
+    for line in rows:
+        values = [line.split("formula ")[1].split()[0], line.split("oracle ")[1].split()[0]]
+        complex_valued = line.startswith("<S+> ")
+        assert all(v.endswith("i") == complex_valued for v in values), line
 
 
 def test_oracle_check_too_large_fails(tmp_path, capsys):
@@ -299,6 +442,30 @@ def test_non_finite_input_exits_one_with_typed_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert "SpincolError" in err
     assert "coeff_alpha" in err
+
+
+def test_successive_runs_match_fresh_processes(tmp_path, capsys):
+    # The parser is built once per process: no flag of one call may leak into the next.
+    path = _gen_file(tmp_path, capsys)
+    calls = [
+        ["analyze", path, "--align-optimal", "--axis", "1", "2", "3", "--json"],
+        ["analyze", path, "--json"],
+        ["axis", path, "--json"],
+        ["analyze", path],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    for argv in calls:
+        assert run(argv) == 0
+        in_process = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "spincol.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert in_process == fresh.stdout, argv
 
 
 def test_usage_errors_exit_two(capsys):
