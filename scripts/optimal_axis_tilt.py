@@ -8,7 +8,6 @@ redistribute with the new frame.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from spincol import (
     align_to_axis,
@@ -18,14 +17,6 @@ from spincol import (
     gen_random_gchf,
     load_determinant,
 )
-
-
-@dataclass
-class TiltConfig:
-    input_path: str | None = None
-    basis_dim: int = 3
-    n_electrons: int = 3
-    seed: int = 7
 
 
 def _print_decomposition(title, d):
@@ -40,13 +31,13 @@ def _print_decomposition(title, d):
         print(f"  {name:<20} {value:+.6f}")
 
 
-def run_tilt(cfg: TiltConfig) -> None:
-    if cfg.input_path:
-        det = load_determinant(cfg.input_path)
-        print(f"determinant: {cfg.input_path}")
+def run_tilt(args: argparse.Namespace) -> None:
+    if args.input:
+        det = load_determinant(args.input)
+        print(f"determinant: {args.input}")
     else:
-        det = gen_random_gchf(cfg.basis_dim, cfg.n_electrons, cfg.seed)
-        print(f"determinant: random GCHF (M={cfg.basis_dim}, Ne={cfg.n_electrons}, seed={cfg.seed})")
+        det = gen_random_gchf(args.m, args.ne, args.seed)
+        print(f"determinant: random GCHF (M={args.m}, Ne={args.ne}, seed={args.seed})")
 
     blocks = build_overlap_blocks(det)
     result = analyze_collinearity(blocks)
@@ -64,8 +55,7 @@ def main() -> None:
     parser.add_argument("--m", type=int, default=3, help="spatial basis size (random mode)")
     parser.add_argument("--ne", type=int, default=3, help="electron count (random mode)")
     parser.add_argument("--seed", type=int, default=7, help="seed (random mode)")
-    args = parser.parse_args()
-    run_tilt(TiltConfig(input_path=args.input, basis_dim=args.m, n_electrons=args.ne, seed=args.seed))
+    run_tilt(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -7,25 +7,16 @@ quantization axis would remove.
 """
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
 from spincol import analyze_collinearity, build_overlap_blocks, decompose_s2, gen_random_gchf
 
 
-@dataclass
-class SurveyConfig:
-    n_samples: int = 200
-    basis_dim: int = 3
-    n_electrons: int = 3
-    seed: int = 0
-
-
-def run_survey(cfg: SurveyConfig) -> None:
+def run_survey(args: argparse.Namespace) -> None:
     rows = []
-    for k in range(cfg.n_samples):
-        det = gen_random_gchf(cfg.basis_dim, cfg.n_electrons, cfg.seed + k)
+    for k in range(args.n):
+        det = gen_random_gchf(args.m, args.ne, args.seed + k)
         blocks = build_overlap_blocks(det)
         d = decompose_s2(blocks)
         col = analyze_collinearity(blocks).col
@@ -37,8 +28,8 @@ def run_survey(cfg: SurveyConfig) -> None:
     names = ("rohf_term", "z_noncollinearity", "spin_contamination",
              "xy_perpendicularity", "<S^2>", "col")
 
-    print(f"{cfg.n_samples} random determinants, "
-          f"M={cfg.basis_dim}, Ne={cfg.n_electrons}, seeds {cfg.seed}..{cfg.seed + cfg.n_samples - 1}")
+    print(f"{args.n} random determinants, "
+          f"M={args.m}, Ne={args.ne}, seeds {args.seed}..{args.seed + args.n - 1}")
     print(f"{'quantity':<20} {'mean':>10} {'min':>10} {'max':>10}")
     for name, column in zip(names, data.T):
         print(f"{name:<20} {column.mean():>10.6f} {column.min():>10.6f} {column.max():>10.6f}")
@@ -54,8 +45,7 @@ def main() -> None:
     parser.add_argument("--m", type=int, default=3, help="spatial basis size")
     parser.add_argument("--ne", type=int, default=3, help="electron count")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    args = parser.parse_args()
-    run_survey(SurveyConfig(n_samples=args.n, basis_dim=args.m, n_electrons=args.ne, seed=args.seed))
+    run_survey(parser.parse_args())
 
 
 if __name__ == "__main__":

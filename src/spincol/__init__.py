@@ -29,7 +29,6 @@ from .determinant import (
 from .errors import (
     DimensionMismatch,
     LinearlyDependent,
-    MetricNotIdentity,
     NonHermitianResult,
     NotOrthonormal,
     NotSymmetric,
@@ -68,7 +67,6 @@ __all__ = [
     "DimensionMismatch",
     "FockVector",
     "LinearlyDependent",
-    "MetricNotIdentity",
     "NonHermitianResult",
     "NotOrthonormal",
     "NotSymmetric",

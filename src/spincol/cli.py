@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -312,10 +313,23 @@ def _load(path: str, do_orthonormalize: bool) -> SpinorDeterminant:
     return load_determinant(path)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-5 and -2E+3 as negative numbers, not options.
+
+    argparse only takes -N and -N.N for numbers, so a negative ``--axis``
+    component in exponent notation would be parsed as an unknown option.
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; ``parse_args`` leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spincol",
         description="Spin expectation values, <S^2> decomposition and collinearity "
         "analysis for general complex single-determinant wave functions.",

@@ -30,7 +30,6 @@ from .errors import (
 # threshold; explicit orthonormalization restores orthonormality to 1e-12.
 ORTHONORMALITY_INPUT_TOL = 1e-8
 METRIC_HERMITICITY_TOL = 1e-12
-METRIC_IDENTITY_TOL = 1e-12
 METRIC_MIN_EIGENVALUE = 1e-10
 GRAM_MIN_EIGENVALUE = 1e-12
 BLOCK_HERMITICITY_TOL = 1e-12
@@ -46,6 +45,13 @@ def _frozen_complex(a) -> np.ndarray:
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise SpincolError(f"{name} has a non-finite entry (NaN or infinity)")
+
+
+def _metric_applied(det: "SpinorDeterminant") -> tuple[np.ndarray, np.ndarray]:
+    """S @ coeff_alpha and S @ coeff_beta; the coefficients themselves without a metric."""
+    if det.ao_overlap is None:
+        return det.coeff_alpha, det.coeff_beta
+    return det.ao_overlap @ det.coeff_alpha, det.ao_overlap @ det.coeff_beta
 
 
 @dataclass(frozen=True)
@@ -100,18 +106,9 @@ class SpinorDeterminant:
         """Coefficients as one 2M x Ne matrix, alpha rows on top."""
         return np.vstack([self.coeff_alpha, self.coeff_beta])
 
-    def metric_is_identity(self) -> bool:
-        if self.ao_overlap is None:
-            return True
-        return np.max(np.abs(self.ao_overlap - np.eye(self.basis_dim))) <= METRIC_IDENTITY_TOL
-
     def spinor_gram(self) -> np.ndarray:
         """Gram matrix of the spinors under the metric (o_aa + o_bb)."""
-        if self.ao_overlap is None:
-            sa, sb = self.coeff_alpha, self.coeff_beta
-        else:
-            sa = self.ao_overlap @ self.coeff_alpha
-            sb = self.ao_overlap @ self.coeff_beta
+        sa, sb = _metric_applied(self)
         return self.coeff_alpha.conj().T @ sa + self.coeff_beta.conj().T @ sb
 
     def orthonormality_residual(self) -> float:
@@ -173,10 +170,7 @@ def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
             f"spinor orthonormality residual {residual:.3e} exceeds 1e-08; orthonormalize first"
         )
     ca, cb = det.coeff_alpha, det.coeff_beta
-    if det.ao_overlap is None:
-        sa, sb = ca, cb
-    else:
-        sa, sb = det.ao_overlap @ ca, det.ao_overlap @ cb
+    sa, sb = _metric_applied(det)
     o_aa = ca.conj().T @ sa
     o_ab = ca.conj().T @ sb
     o_bb = cb.conj().T @ sb
@@ -237,14 +231,10 @@ def to_identity_metric(det: SpinorDeterminant) -> SpinorDeterminant:
 
     Multiplies the coefficients by the Hermitian square root of the metric,
     which leaves every overlap block (and hence every spin quantity)
-    unchanged.  No-op when the metric already is the identity.
+    unchanged.  Returns ``det`` itself when it carries no metric.
     """
-    if det.metric_is_identity():
-        if det.ao_overlap is None:
-            return det
-        return SpinorDeterminant(
-            det.basis_dim, det.n_electrons, det.coeff_alpha, det.coeff_beta, None
-        )
+    if det.ao_overlap is None:
+        return det
     w, v = np.linalg.eigh(det.ao_overlap)
     sqrt_s = (v * np.sqrt(w)) @ v.conj().T
     return SpinorDeterminant(

@@ -29,10 +29,6 @@ class NotSymmetric(SpincolError):
     """Matrix argument is not symmetric at tolerance."""
 
 
-class MetricNotIdentity(SpincolError):
-    """Operation requires coefficients over an orthonormal spatial basis."""
-
-
 class TooLarge(SpincolError):
     """Requested Fock-space expansion exceeds the brute-force guard rail."""
 

@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .determinant import SpinorDeterminant, to_identity_metric
-from .errors import DimensionMismatch, MetricNotIdentity, TooLarge
+from .errors import DimensionMismatch, TooLarge
 
 PATTERN_GUARD = 10_000
 BASIS_GUARD = 6
@@ -82,18 +82,18 @@ def _sector(m: int, ne: int) -> tuple[np.ndarray, np.ndarray]:
 def expand(det: SpinorDeterminant) -> FockVector:
     """Expand a determinant over elementary Slater determinants.
 
-    Requires an identity AO metric (see ``to_identity_metric``); a metric
-    would make the elementary determinants non-orthonormal and the minors
-    meaningless as amplitudes.
+    The coefficients are first re-expressed over an orthonormal spatial
+    basis (``to_identity_metric``): under a metric the elementary
+    determinants would not be orthonormal and the minors would not be
+    amplitudes.
     """
-    if not det.metric_is_identity():
-        raise MetricNotIdentity("expand needs an identity AO overlap; transform the basis first")
     m, ne = det.basis_dim, det.n_electrons
     n_patterns = comb(2 * m, ne)
     if n_patterns > PATTERN_GUARD:
         raise TooLarge(f"{n_patterns} occupation patterns exceed the guard of {PATTERN_GUARD}")
     rows, _ = _sector(m, ne)
-    return FockVector(m_spatial=m, n_electrons=ne, amplitudes=np.linalg.det(det.stacked()[rows]))
+    stacked = to_identity_metric(det).stacked()
+    return FockVector(m_spatial=m, n_electrons=ne, amplitudes=np.linalg.det(stacked[rows]))
 
 
 def _apply_ladder(vec: FockVector, from_offset: int, to_offset: int) -> FockVector:
@@ -154,7 +154,7 @@ def oracle_expectation(det: SpinorDeterminant) -> dict[str, complex]:
     """
     if det.basis_dim > BASIS_GUARD:
         raise TooLarge(f"basis_dim {det.basis_dim} exceeds the oracle guard of {BASIS_GUARD}")
-    psi = expand(to_identity_metric(det))
+    psi = expand(det)
     acted = {op: apply_spin(psi, op) for op in ("S+", "S-", "Sz")}
     for op in ("Sx", "Sy"):
         acted[op] = _cartesian(op, acted["S+"], acted["S-"])

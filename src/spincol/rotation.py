@@ -15,21 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collinearity import _check_unit
 from .determinant import SpinorDeterminant, lowdin_orthonormalize
-from .errors import DimensionMismatch, NotUnitVector
-
-_AXIS_TOL = 1e-10
-# Cosine window around +/- z where the cross-product axis construction degenerates.
-_POLE_TOL = 1e-12
+from .errors import DimensionMismatch
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def _is_unit(v: np.ndarray) -> bool:
-    """A 3-vector of norm 1 within 1e-10; false for a NaN or infinite entry."""
-    return v.shape == (3,) and abs(np.linalg.norm(v) - 1.0) <= _AXIS_TOL
 
 
 @dataclass(frozen=True)
@@ -40,10 +32,7 @@ class SpinRotation:
     angle: float
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if not _is_unit(axis):
-            raise NotUnitVector("rotation axis must be a unit 3-vector")
-        axis = axis.copy()
+        axis = _check_unit(self.axis).copy()
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "angle", float(self.angle))
@@ -76,25 +65,19 @@ def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
 
 
 def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:
-    """Rotate the spin frame so direction ``u`` becomes the new z axis.
+    """Rotate the spin frame so the unit direction ``u`` becomes the new z axis.
 
+    With u = (sin t cos p, sin t sin p, cos t) the rotation is by
+    t = atan2(hypot(u_x, u_y), u_z) about the unit axis (sin p, -cos p, 0),
+    p = atan2(u_y, u_x), which carries u onto z.  The axis is a unit vector
+    for every u, the poles included, so one formula covers all directions.
     After alignment the z-noncollinearity of the result equals the original
-    col(u).  The antipodal case u ~ -z rotates by pi about x to avoid the
-    axis-construction singularity.
+    col(u).
     """
-    u = np.asarray(u, dtype=float)
-    if not _is_unit(u):
-        raise NotUnitVector("alignment direction must be a unit 3-vector")
-    uz = u[2]
-    if uz >= 1.0 - _POLE_TOL:
-        return su2_rotate(det, SpinRotation(np.array([0.0, 0.0, 1.0]), 0.0))
-    if uz <= -1.0 + _POLE_TOL:
-        return su2_rotate(det, SpinRotation(np.array([1.0, 0.0, 0.0]), np.pi))
-    z = np.array([0.0, 0.0, 1.0])
-    axis = np.cross(u, z)
-    axis /= np.linalg.norm(axis)
-    angle = float(np.arccos(np.clip(uz, -1.0, 1.0)))
-    return su2_rotate(det, SpinRotation(axis, angle))
+    u = _check_unit(u)
+    theta = np.arctan2(np.hypot(u[0], u[1]), u[2])
+    phi = np.arctan2(u[1], u[0])
+    return su2_rotate(det, SpinRotation(np.array([np.sin(phi), -np.cos(phi), 0.0]), theta))
 
 
 def _orthonormal_columns(columns, what: str) -> np.ndarray:

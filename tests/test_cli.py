@@ -311,7 +311,6 @@ def test_analyze_axis_matches_plain_normalization(tmp_path, capsys):
     path = _gen_file(tmp_path, capsys)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        # Positional notation: argparse reads "-1e-05" as an option, not a number.
         components = [f"{x:.20f}" for x in rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4)]
         assert run(["analyze", path, "--json", "--axis", *components]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -320,6 +319,17 @@ def test_analyze_axis_matches_plain_normalization(tmp_path, capsys):
         a = np.array(doc["collinearity"]["a_matrix"])
         assert np.max(np.abs(np.array(doc["axis_query"]["axis"]) - plain)) <= 1e-15
         assert abs(doc["axis_query"]["col_along"] - plain @ a @ plain) <= 1e-15
+
+
+@pytest.mark.parametrize("exponent,positional", [("-1e-5", "-0.00001"), ("-2E+3", "-2000")])
+def test_analyze_axis_negative_exponent(tmp_path, capsys, exponent, positional):
+    # A negative number in exponent notation is a value, not an option.
+    path = _gen_file(tmp_path, capsys)
+    outputs = []
+    for first in (exponent, positional):
+        assert run(["analyze", path, "--json", "--axis", first, "0", "1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("component", ["nan", "inf"])

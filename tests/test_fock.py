@@ -15,7 +15,6 @@ import helpers
 from spincol import (
     DimensionMismatch,
     FockVector,
-    MetricNotIdentity,
     SpinorDeterminant,
     TooLarge,
     apply_spin,
@@ -110,11 +109,15 @@ def test_expand_norm_is_one_for_any_orthonormal_determinant(m, ne, seed):
     assert expand(det).norm() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_expand_requires_identity_metric():
+def test_expand_applies_the_metric():
+    # expand re-expresses the coefficients over an orthonormal basis itself.
     det = helpers.random_metric_determinant(2, 2, seed=3)
-    with pytest.raises(MetricNotIdentity):
-        expand(det)
-    assert expand(to_identity_metric(det)).norm() == pytest.approx(1.0, abs=1e-12)
+    psi = expand(det)
+    assert np.array_equal(psi.amplitudes, expand(to_identity_metric(det)).amplitudes)
+    assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+    plain = gen_random_gchf(3, 3, seed=4)
+    explicit = SpinorDeterminant(3, 3, plain.coeff_alpha, plain.coeff_beta, np.eye(3))
+    assert np.array_equal(expand(explicit).amplitudes, expand(plain).amplitudes)
 
 
 def test_expand_guard_rail():

@@ -202,3 +202,23 @@ def test_generators_reject_dependent_orbitals():
         gen_rhf(np.hstack([col, col]))
     with pytest.raises(LinearlyDependent):
         gen_rohf(col, col)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["axis", "antipode"])
+@pytest.mark.parametrize("flip", [False, True], ids=["plain", "pi-flipped"])
+@pytest.mark.parametrize("theta", [1e-7, 1e-6, 1.3e-6, 1e-3])
+def test_alignment_closure_near_the_poles(theta, flip, sign):
+    # A collinear determinant tilted slightly off z has its optimal axis
+    # within theta of a pole; aligning to it (or to its antipode) must still
+    # apply the true rotation, so the new z-noncollinearity is col.
+    det = helpers.random_dods(4, 2, 1, seed=5)
+    x = np.array([1.0, 0.0, 0.0])
+    if flip:
+        det = su2_rotate(det, SpinRotation(x, np.pi))
+    det = su2_rotate(det, SpinRotation(x, theta))
+    result = analyze_collinearity(build_overlap_blocks(det))
+    aligned = align_to_axis(det, sign * result.optimal_axis)
+    post = decompose_s2(build_overlap_blocks(aligned))
+    # Fixed before the run: rounding of Ne^2 terms of size eps, times 16.
+    tol = 16 * det.n_electrons * np.finfo(float).eps * det.n_electrons
+    assert abs(post.z_noncollinearity - result.col) <= tol
