@@ -15,6 +15,7 @@ Text reports print six decimals; JSON reports print full precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -30,13 +31,12 @@ from .collinearity import (
     spin_vector,
 )
 from .determinant import SpinorDeterminant, build_overlap_blocks, electron_counts, orthonormalize
-from .errors import SpincolError
+from .errors import SpincolError, check_within
 from .fock import oracle_expectation
 from .io import file_sha256, load_determinant, parse_determinant, save_determinant
 from .reference import run_reference_checks
 from .rotation import align_to_axis, gen_dods, gen_random_gchf, gen_rhf, gen_rohf
 from .spin import (
-    S2Decomposition,
     decompose_s2,
     expect_s2,
     expect_sminus_splus,
@@ -48,6 +48,7 @@ from .spin import (
 
 ORACLE_CHECK_TOL = 1e-8
 _CONSISTENCY_TOL = 1e-10
+_EIGEN_RESIDUAL_TOL = 1e-9
 
 
 def _report_text(doc: dict) -> str:
@@ -89,24 +90,13 @@ def _decomposition_text(d: dict) -> list[str]:
     return [f"  {name:<20} {value:+.6f}" for name, value in d.items()]
 
 
-def _decomposition_dict(d: S2Decomposition) -> dict:
-    return {
-        "s_effective": d.s_effective,
-        "rohf_term": d.rohf_term,
-        "z_noncollinearity": d.z_noncollinearity,
-        "spin_contamination": d.spin_contamination,
-        "xy_perpendicularity": d.xy_perpendicularity,
-        "total": d.total,
-    }
-
-
 def _collinearity_dict(c: CollinearityResult) -> dict:
     return {
-        "a_matrix": [[float(x) for x in row] for row in c.a_matrix],
-        "eigenvalues": [float(x) for x in c.eigenvalues],
-        "eigenvectors": [[float(x) for x in c.eigenvectors[:, k]] for k in range(3)],
+        "a_matrix": c.a_matrix.tolist(),
+        "eigenvalues": c.eigenvalues.tolist(),
+        "eigenvectors": c.eigenvectors.T.tolist(),
         "col": c.col,
-        "optimal_axis": [float(x) for x in c.optimal_axis],
+        "optimal_axis": c.optimal_axis.tolist(),
         "degenerate": c.degenerate,
     }
 
@@ -142,15 +132,15 @@ def build_report(
     vector = spin_vector(blocks)
     collin = analyze_collinearity(blocks)
 
-    _assert_consistent(abs(decomposition.total - s2), "<S^2> decomposition sum")
-    _assert_consistent(abs(sum(decomposition.terms()) - decomposition.total), "term total")
+    check_within(abs(decomposition.total - s2), _CONSISTENCY_TOL, "<S^2> decomposition sum gap")
+    term_gap = abs(sum(decomposition.terms()) - decomposition.total)
+    check_within(term_gap, _CONSISTENCY_TOL, "decomposition term total gap")
     trace_gap = abs(float(np.trace(collin.a_matrix)) + vector.norm_sq() - s2)
-    _assert_consistent(trace_gap, "covariance trace identity")
+    check_within(trace_gap, _CONSISTENCY_TOL, "covariance trace identity gap")
     eig_residual = float(
         np.max(np.abs(collin.a_matrix @ collin.optimal_axis - collin.col * collin.optimal_axis))
     )
-    if eig_residual > 1e-9:
-        raise SpincolError(f"optimal axis eigen-residual {eig_residual:.3e} exceeds 1e-9")
+    check_within(eig_residual, _EIGEN_RESIDUAL_TOL, "optimal axis eigen-residual")
 
     doc = {
         "tool": "spincol",
@@ -167,7 +157,7 @@ def build_report(
             "splus": {"re": vector.sx, "im": vector.sy},
             "s2": s2,
         },
-        "decomposition": _decomposition_dict(decomposition),
+        "decomposition": dataclasses.asdict(decomposition),
         "spin_vector": {"sx": vector.sx, "sy": vector.sy, "sz": vector.sz},
         "collinearity": _collinearity_dict(collin),
     }
@@ -187,13 +177,9 @@ def build_report(
         }
     if align_optimal:
         tilted = align_to_axis(det, collin.optimal_axis)
-        doc["aligned_decomposition"] = _decomposition_dict(decompose_s2(build_overlap_blocks(tilted)))
+        aligned = decompose_s2(build_overlap_blocks(tilted))
+        doc["aligned_decomposition"] = dataclasses.asdict(aligned)
     return doc
-
-
-def _assert_consistent(deviation: float, what: str) -> None:
-    if deviation > _CONSISTENCY_TOL:
-        raise SpincolError(f"internal consistency violated: {what} off by {deviation:.3e}")
 
 
 def oracle_rows(det: SpinorDeterminant) -> list[tuple[str, complex, complex, float]]:
@@ -262,8 +248,8 @@ def _cmd_oracle_check(args) -> int:
         )
     max_dev = max(dev for *_, dev in rows)
     print(f"max deviation: {max_dev:.3e}")
-    if max_dev > ORACLE_CHECK_TOL:
-        print(f"FAIL: deviation exceeds {ORACLE_CHECK_TOL:.0e}", file=sys.stderr)
+    if not max_dev <= ORACLE_CHECK_TOL:
+        print(f"FAIL: max deviation is not within {ORACLE_CHECK_TOL:g}", file=sys.stderr)
         return 1
     return 0
 
@@ -283,8 +269,6 @@ def _cmd_gen(args) -> int:
         det = gen_rhf(random_orbitals(ne // 2))
     elif args.kind == "rohf":
         n_open = 1 if ne % 2 else 2
-        if ne < n_open:
-            raise SpincolError(f"rohf needs at least {n_open} electrons here")
         n_closed = (ne - n_open) // 2
         det = gen_rohf(random_orbitals(n_closed), random_orbitals(n_open))
     elif args.kind == "dods":
@@ -314,16 +298,33 @@ def _load(path: str, do_orthonormalize: bool) -> SpinorDeterminant:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads -1e-5 and -2E+3 as negative numbers, not options.
+    """An ArgumentParser that reads -1e-5, -2E+3, -inf and -nan as negative numbers, not options.
 
     argparse only takes -N and -N.N for numbers, so a negative ``--axis``
-    component in exponent notation would be parsed as an unknown option.
-    Subparsers inherit the class.
+    component in exponent notation, or a non-finite one, would be parsed as
+    an unknown option.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
+
+
+def _int_at_least(low: int):
+    """An argparse ``type`` accepting integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 @functools.cache
@@ -337,12 +338,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spincol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="full analysis report for a determinant file")
-    analyze.add_argument("file")
-    analyze.add_argument(
+    # Arguments shared by analyze and axis.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("file")
+    source.add_argument(
         "--orthonormalize",
         action="store_true",
         help="symmetrically orthonormalize the spinors before analyzing",
+    )
+    source.add_argument("--json", action="store_true", help="machine-readable, full precision")
+
+    analyze = sub.add_parser(
+        "analyze", parents=[source], help="full analysis report for a determinant file"
     )
     analyze.add_argument(
         "--axis",
@@ -356,19 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append the decomposition after tilting z to the optimal axis",
     )
-    fmt = analyze.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable, full precision")
-    fmt.add_argument("--text", action="store_true", help="human-readable, six decimals (default)")
     analyze.set_defaults(func=_cmd_analyze)
 
-    axis = sub.add_parser("axis", help="collinearity eigen-analysis only")
-    axis.add_argument("file")
-    axis.add_argument(
-        "--orthonormalize",
-        action="store_true",
-        help="symmetrically orthonormalize the spinors before analyzing",
-    )
-    axis.add_argument("--json", action="store_true", help="machine-readable, full precision")
+    axis = sub.add_parser("axis", parents=[source], help="collinearity eigen-analysis only")
     axis.set_defaults(func=_cmd_axis)
 
     oracle = sub.add_parser(
@@ -379,9 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write a generated determinant file")
     gen.add_argument("--kind", required=True, choices=("rhf", "rohf", "dods", "random"))
-    gen.add_argument("--m", required=True, type=int, help="spatial basis size")
-    gen.add_argument("--ne", required=True, type=int, help="electron count")
-    gen.add_argument("--seed", required=True, type=int)
+    gen.add_argument("--m", required=True, type=_int_at_least(1), help="spatial basis size")
+    gen.add_argument("--ne", required=True, type=_int_at_least(1), help="electron count")
+    gen.add_argument("--seed", required=True, type=_int_at_least(0))
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinant import OverlapBlocks
-from .errors import NotSymmetric, NotUnitVector
+from .errors import NotSymmetric, NotUnitVector, check_within
 from .spin import expect_splus, expect_sz
 
 UNIT_VECTOR_TOL = 1e-10
@@ -111,9 +111,7 @@ def _check_unit(u) -> np.ndarray:
     if u.shape != (3,):
         raise NotUnitVector(f"direction must be a 3-vector, got shape {u.shape}")
     norm = float(np.linalg.norm(u))
-    # Written so that a NaN norm fails the gate too.
-    if not abs(norm - 1.0) <= UNIT_VECTOR_TOL:
-        raise NotUnitVector(f"direction has norm {norm!r}, expected 1 within 1e-10")
+    check_within(abs(norm - 1.0), UNIT_VECTOR_TOL, "direction |norm - 1|", NotUnitVector)
     return u
 
 
@@ -148,10 +146,8 @@ def min_collinearity(a) -> CollinearityResult:
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise NotSymmetric(f"expected a 3x3 matrix, got shape {a.shape}")
-    asymmetry = float(np.max(np.abs(a - a.T)))
-    # A non-finite entry makes the asymmetry NaN, which must fail the gate too.
-    if not asymmetry <= SYMMETRY_TOL:
-        raise NotSymmetric(f"matrix asymmetry {asymmetry!r} is not within 1e-10")
+    # A non-finite entry makes the asymmetry NaN, which fails the gate.
+    check_within(np.max(np.abs(a - a.T)), SYMMETRY_TOL, "matrix asymmetry", NotSymmetric)
     sym = 0.5 * (a + a.T)
     values, vectors = np.linalg.eigh(sym)
     for k in range(3):

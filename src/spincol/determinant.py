@@ -24,16 +24,17 @@ from .errors import (
     NonHermitianResult,
     NotOrthonormal,
     SpincolError,
+    check_within,
 )
 
 # Input determinants may carry print rounding, hence the loose acceptance
 # threshold; explicit orthonormalization restores orthonormality to 1e-12.
 ORTHONORMALITY_INPUT_TOL = 1e-8
-METRIC_HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12
 METRIC_MIN_EIGENVALUE = 1e-10
 GRAM_MIN_EIGENVALUE = 1e-12
-BLOCK_HERMITICITY_TOL = 1e-12
-TRACE_IMAG_TOL = 1e-12
+# Quantities that must be real are checked, never silently truncated.
+IMAG_TOL = 1e-12
 
 
 def _frozen_complex(a) -> np.ndarray:
@@ -45,6 +46,13 @@ def _frozen_complex(a) -> np.ndarray:
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise SpincolError(f"{name} has a non-finite entry (NaN or infinity)")
+
+
+def _real(value: complex, what: str) -> float:
+    """The real part of ``value``, after gating its imaginary part at ``IMAG_TOL``."""
+    value = complex(value)
+    check_within(abs(value.imag), IMAG_TOL, f"imaginary part of {what}", NonHermitianResult)
+    return value.real
 
 
 def _metric_applied(det: "SpinorDeterminant") -> tuple[np.ndarray, np.ndarray]:
@@ -96,10 +104,14 @@ class SpinorDeterminant:
             if s.shape != (m, m):
                 raise DimensionMismatch(f"ao_overlap must be {m}x{m}, got {s.shape}")
             _check_finite("ao_overlap", s)
-            if np.max(np.abs(s - s.conj().T)) > METRIC_HERMITICITY_TOL:
-                raise SpincolError("ao_overlap is not Hermitian at 1e-12")
-            if np.linalg.eigvalsh(s).min() <= METRIC_MIN_EIGENVALUE:
-                raise SpincolError("ao_overlap is not positive definite (min eigenvalue <= 1e-10)")
+            residual = np.max(np.abs(s - s.conj().T))
+            check_within(residual, HERMITICITY_TOL, "ao_overlap Hermiticity residual")
+            lowest = np.linalg.eigvalsh(s).min()
+            if not lowest > METRIC_MIN_EIGENVALUE:
+                raise SpincolError(
+                    f"ao_overlap smallest eigenvalue {lowest:.3e} "
+                    f"is not above {METRIC_MIN_EIGENVALUE:g}"
+                )
             object.__setattr__(self, "ao_overlap", s)
 
     def stacked(self) -> np.ndarray:
@@ -149,10 +161,13 @@ class OverlapBlocks:
                 raise DimensionMismatch(f"{name} must be {ne}x{ne}")
         for name in ("o_aa", "o_bb"):
             block = getattr(self, name)
-            if np.max(np.abs(block - block.conj().T)) > BLOCK_HERMITICITY_TOL:
-                raise NonHermitianResult(f"{name} is not Hermitian at 1e-12")
-        if np.max(np.abs(self.o_aa + self.o_bb - np.eye(ne))) > ORTHONORMALITY_INPUT_TOL:
-            raise NotOrthonormal("o_aa + o_bb deviates from identity beyond tolerance")
+            residual = np.max(np.abs(block - block.conj().T))
+            check_within(
+                residual, HERMITICITY_TOL, f"{name} Hermiticity residual", NonHermitianResult
+            )
+        deviation = np.max(np.abs(self.o_aa + self.o_bb - np.eye(ne)))
+        what = "o_aa + o_bb deviation from identity"
+        check_within(deviation, ORTHONORMALITY_INPUT_TOL, what, NotOrthonormal)
 
 
 def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
@@ -161,14 +176,16 @@ def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
     Raises
     ------
     NotOrthonormal
-        If the spinors deviate from orthonormality by more than 1e-8
-        (run :func:`orthonormalize` first in that case).
+        If the spinors deviate from orthonormality by more than
+        ``ORTHONORMALITY_INPUT_TOL`` (run :func:`orthonormalize` first in that case).
     """
-    residual = det.orthonormality_residual()
-    if residual > ORTHONORMALITY_INPUT_TOL:
-        raise NotOrthonormal(
-            f"spinor orthonormality residual {residual:.3e} exceeds 1e-08; orthonormalize first"
-        )
+    check_within(
+        det.orthonormality_residual(),
+        ORTHONORMALITY_INPUT_TOL,
+        "spinor orthonormality residual",
+        NotOrthonormal,
+        hint="; orthonormalize first",
+    )
     ca, cb = det.coeff_alpha, det.coeff_beta
     sa, sb = _metric_applied(det)
     o_aa = ca.conj().T @ sa
@@ -185,13 +202,7 @@ def electron_counts(blocks: OverlapBlocks) -> tuple[float, float]:
     Both are generally non-integer for a spin-mixed determinant; their sum is
     the (integer) electron count.
     """
-    counts = []
-    for name in ("o_aa", "o_bb"):
-        tr = complex(np.trace(getattr(blocks, name)))
-        if abs(tr.imag) >= TRACE_IMAG_TOL:
-            raise NonHermitianResult(f"trace of {name} has imaginary part {tr.imag:.3e}")
-        counts.append(tr.real)
-    return counts[0], counts[1]
+    return _real(np.trace(blocks.o_aa), "N_alpha"), _real(np.trace(blocks.o_bb), "N_beta")
 
 
 def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -201,9 +212,10 @@ def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
     result is the orthonormal set closest to the input in least-squares sense.
     """
     w, v = np.linalg.eigh(gram)
-    if w.min() <= GRAM_MIN_EIGENVALUE:
+    lowest = w.min()
+    if not lowest > GRAM_MIN_EIGENVALUE:
         raise LinearlyDependent(
-            f"Gram matrix smallest eigenvalue {w.min():.3e} is at or below 1e-12"
+            f"Gram matrix smallest eigenvalue {lowest:.3e} is not above {GRAM_MIN_EIGENVALUE:g}"
         )
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return columns @ inv_sqrt

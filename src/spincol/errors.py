@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the threshold gate that raises them."""
 
 
 class SpincolError(Exception):
@@ -39,3 +39,14 @@ class ParseError(SpincolError):
 
 class ShapeError(SpincolError):
     """Determinant file declares inconsistent dimensions."""
+
+
+def check_within(
+    value: float, limit: float, what: str, error: type[SpincolError] = SpincolError, hint: str = ""
+) -> None:
+    """Raise ``error`` naming ``what``, ``value`` and ``limit`` unless ``value <= limit``.
+
+    Written so that a NaN value fails the gate too.
+    """
+    if not value <= limit:
+        raise error(f"{what} {value:.3e} is not within {limit:g}{hint}")

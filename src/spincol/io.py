@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .determinant import ORTHONORMALITY_INPUT_TOL, SpinorDeterminant
-from .errors import NotOrthonormal, ParseError, ShapeError
+from .errors import NotOrthonormal, ParseError, ShapeError, SpincolError, check_within
 
 _REQUIRED_FIELDS = ("basis_dim", "n_electrons", "coeff_alpha", "coeff_beta")
 # Exact types, as json.loads produces them: bool, a subclass of int, is excluded.
@@ -115,16 +115,17 @@ def load_determinant(path) -> SpinorDeterminant:
 
     Raises ``ParseError`` for malformed documents, ``ShapeError`` for
     inconsistent dimensions, and ``NotOrthonormal`` when the spinors fail the
-    1e-8 orthonormality gate (re-run with --orthonormalize, or call
+    ``ORTHONORMALITY_INPUT_TOL`` gate (re-run with --orthonormalize, or call
     ``orthonormalize``, to repair such input).
     """
     det = parse_determinant(path)
-    residual = det.orthonormality_residual()
-    if residual > ORTHONORMALITY_INPUT_TOL:
-        raise NotOrthonormal(
-            f"spinors in {path} have orthonormality residual {residual:.3e} "
-            "(limit 1e-08); pass --orthonormalize to repair"
-        )
+    check_within(
+        det.orthonormality_residual(),
+        ORTHONORMALITY_INPUT_TOL,
+        f"{path}: spinor orthonormality residual",
+        NotOrthonormal,
+        hint="; pass --orthonormalize to repair",
+    )
     return det
 
 
@@ -137,7 +138,11 @@ def save_determinant(det: SpinorDeterminant, path) -> None:
     matrices = {"coeff_alpha": det.coeff_alpha, "coeff_beta": det.coeff_beta}
     if det.ao_overlap is not None:
         matrices["ao_overlap"] = det.ao_overlap
-    with Path(path).open("w", encoding="utf-8") as fh:
+    try:
+        fh = Path(path).open("w", encoding="utf-8")
+    except OSError as exc:
+        raise SpincolError(f"cannot write {path}: {exc}") from exc
+    with fh:
         fh.write(f'{{\n "basis_dim": {det.basis_dim},\n "n_electrons": {det.n_electrons}')
         for field, matrix in matrices.items():
             rows = np.stack((matrix.real, matrix.imag), axis=-1).tolist()

@@ -89,19 +89,26 @@ def _orthonormal_columns(columns, what: str) -> np.ndarray:
     return lowdin_orthonormalize(cols, cols.conj().T @ cols)
 
 
+def _collinear(psi_a: np.ndarray, psi_b: np.ndarray) -> SpinorDeterminant:
+    """Determinant of the pure-alpha spinors [psi_a, 0] followed by the pure-beta [0, psi_b]."""
+    if psi_a.shape[0] != psi_b.shape[0]:
+        raise DimensionMismatch("alpha and beta orbital blocks must share the basis dimension")
+    m = psi_a.shape[0]
+    p, q = psi_a.shape[1], psi_b.shape[1]
+    if p + q < 1:
+        raise DimensionMismatch("need at least one orbital")
+    return SpinorDeterminant(
+        basis_dim=m,
+        n_electrons=p + q,
+        coeff_alpha=np.hstack([psi_a, np.zeros((m, q), dtype=complex)]),
+        coeff_beta=np.hstack([np.zeros((m, p), dtype=complex), psi_b]),
+    )
+
+
 def gen_rhf(orbitals) -> SpinorDeterminant:
     """Closed-shell determinant: each orbital doubly occupied (alpha and beta)."""
     psi = _orthonormal_columns(orbitals, "orbitals")
-    m, k = psi.shape
-    if k < 1:
-        raise DimensionMismatch("need at least one orbital")
-    zero = np.zeros((m, k), dtype=complex)
-    return SpinorDeterminant(
-        basis_dim=m,
-        n_electrons=2 * k,
-        coeff_alpha=np.hstack([psi, zero]),
-        coeff_beta=np.hstack([zero, psi]),
-    )
+    return _collinear(psi, psi)
 
 
 def gen_rohf(closed, open_) -> SpinorDeterminant:
@@ -114,20 +121,8 @@ def gen_rohf(closed, open_) -> SpinorDeterminant:
     open_ = np.array(open_, dtype=complex)
     if closed.ndim != 2 or open_.ndim != 2 or closed.shape[0] != open_.shape[0]:
         raise DimensionMismatch("closed and open orbital blocks must share the basis dimension")
-    m = closed.shape[0]
-    k, p = closed.shape[1], open_.shape[1]
-    if k + p < 1:
-        raise DimensionMismatch("need at least one orbital")
     psi = _orthonormal_columns(np.hstack([closed, open_]), "orbitals")
-    psi_c, psi_o = psi[:, :k], psi[:, k:]
-    za = np.zeros((m, k), dtype=complex)
-    zb = np.zeros((m, k + p), dtype=complex)
-    return SpinorDeterminant(
-        basis_dim=m,
-        n_electrons=2 * k + p,
-        coeff_alpha=np.hstack([psi_c, psi_o, za]),
-        coeff_beta=np.hstack([zb, psi_c]),
-    )
+    return _collinear(psi, psi[:, : closed.shape[1]])
 
 
 def gen_dods(alpha_orbitals, beta_orbitals) -> SpinorDeterminant:
@@ -136,19 +131,9 @@ def gen_dods(alpha_orbitals, beta_orbitals) -> SpinorDeterminant:
     The alpha and beta orbital sets are orthonormalized independently; the
     two sets need not be orthogonal to each other.
     """
-    psi_a = _orthonormal_columns(alpha_orbitals, "alpha_orbitals")
-    psi_b = _orthonormal_columns(beta_orbitals, "beta_orbitals")
-    if psi_a.shape[0] != psi_b.shape[0]:
-        raise DimensionMismatch("alpha and beta orbital blocks must share the basis dimension")
-    m = psi_a.shape[0]
-    p, q = psi_a.shape[1], psi_b.shape[1]
-    if p + q < 1:
-        raise DimensionMismatch("need at least one orbital")
-    return SpinorDeterminant(
-        basis_dim=m,
-        n_electrons=p + q,
-        coeff_alpha=np.hstack([psi_a, np.zeros((m, q), dtype=complex)]),
-        coeff_beta=np.hstack([np.zeros((m, p), dtype=complex), psi_b]),
+    return _collinear(
+        _orthonormal_columns(alpha_orbitals, "alpha_orbitals"),
+        _orthonormal_columns(beta_orbitals, "beta_orbitals"),
     )
 
 

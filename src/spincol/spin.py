@@ -25,18 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinant import OverlapBlocks
-from .errors import NonHermitianResult
-
-# Quantities that must be real are checked, never silently truncated.
-RESULT_IMAG_TOL = 1e-10
-
-
-def _real(value: complex, what: str) -> float:
-    value = complex(value)
-    if abs(value.imag) >= RESULT_IMAG_TOL:
-        raise NonHermitianResult(f"{what} has imaginary part {value.imag:.3e} (limit 1e-10)")
-    return value.real
+from .determinant import OverlapBlocks, _real
 
 
 def _frobenius_sq(matrix: np.ndarray) -> float:

@@ -332,7 +332,8 @@ def test_analyze_axis_negative_exponent(tmp_path, capsys, exponent, positional):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("component", ["nan", "inf"])
+# A leading minus must not make argparse read -inf, -nan or -Infinity as an option.
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "-nan", "-Infinity"])
 def test_analyze_axis_rejects_non_finite(tmp_path, capsys, component):
     # A non-finite axis would put NaN into the report, which is not strict JSON.
     path = _gen_file(tmp_path, capsys)
@@ -417,6 +418,22 @@ def test_gen_rhf_rejects_odd_count(tmp_path, capsys):
     assert "even electron count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--m", "-2"), ("--ne", "0"), ("--seed", "-1")])
+def test_gen_rejects_out_of_range_counts_as_usage_error(tmp_path, capsys, flag, value):
+    argv = ["gen", "--kind", "random", "--m", "3", "--ne", "2", "--seed", "0", "--out", str(tmp_path / "g.json")]
+    argv[argv.index(flag) + 1] = value
+    assert run(argv) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_gen_into_missing_directory_is_typed_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "g.json")
+    assert run(["gen", "--kind", "random", "--m", "3", "--ne", "2", "--seed", "0", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "SpincolError" in err and out in err
+
+
 def test_paper_fixture_passes(capsys):
     assert run(["paper-fixture"]) == 0
     out = capsys.readouterr().out
@@ -452,6 +469,37 @@ def test_non_finite_input_exits_one_with_typed_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert "SpincolError" in err
     assert "coeff_alpha" in err
+
+
+# Finite entries whose Gram matrix overflows: entry (0, 1) sums +inf(1+i) and -inf(1+i),
+# so the orthonormality residual is NaN, which must fail the gate.
+OVERFLOW_DOC = json.dumps(
+    {
+        "basis_dim": 2,
+        "n_electrons": 2,
+        "coeff_alpha": [[[1e200, 0], [1e200, 1e200]], [[1e200, 0], [-1e200, -1e200]]],
+        "coeff_beta": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+    }
+)
+
+
+@pytest.mark.parametrize("command", ["analyze", "axis", "oracle-check"])
+def test_overflowing_gram_exits_one_with_typed_error(tmp_path, capsys, command):
+    path = _write(tmp_path, "overflow.json", OVERFLOW_DOC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run([command, path]) == 1
+    assert "NotOrthonormal" in capsys.readouterr().err
+
+
+def test_overflowing_gram_fails_the_library_gates(tmp_path):
+    path = _write(tmp_path, "overflow.json", OVERFLOW_DOC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NotOrthonormal, match="nan"):
+            load_determinant(path)
+        with pytest.raises(NotOrthonormal, match="nan"):
+            build_overlap_blocks(parse_determinant(path))
 
 
 def test_successive_runs_match_fresh_processes(tmp_path, capsys):

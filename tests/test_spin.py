@@ -265,3 +265,10 @@ def test_imaginary_residue_raises():
     )
     with pytest.raises(NonHermitianResult):
         expect_sz(corrupt)
+
+
+def test_decomposition_rejects_imaginary_trace_above_1e_12():
+    good = build_overlap_blocks(gen_random_gchf(2, 2, seed=6))
+    corrupt = OverlapBlocks(o_aa=good.o_aa + np.diag([1e-11j, 0.0]), o_ab=good.o_ab, o_bb=good.o_bb)
+    with pytest.raises(NonHermitianResult, match="N_alpha"):
+        decompose_s2(corrupt)
