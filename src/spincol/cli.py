@@ -31,7 +31,7 @@ from .collinearity import (
     spin_vector,
 )
 from .determinant import SpinorDeterminant, build_overlap_blocks, electron_counts, orthonormalize
-from .errors import SpincolError, check_within
+from .errors import DimensionMismatch, SpincolError, check_within
 from .fock import oracle_expectation
 from .io import file_sha256, load_determinant, parse_determinant, save_determinant
 from .reference import run_reference_checks
@@ -263,19 +263,23 @@ def _cmd_gen(args) -> int:
 
     if args.kind == "random":
         det = gen_random_gchf(m, ne, args.seed)
-    elif args.kind == "rhf":
-        if ne % 2:
-            raise SpincolError("rhf needs an even electron count")
-        det = gen_rhf(random_orbitals(ne // 2))
-    elif args.kind == "rohf":
-        n_open = 1 if ne % 2 else 2
-        n_closed = (ne - n_open) // 2
-        det = gen_rohf(random_orbitals(n_closed), random_orbitals(n_open))
-    elif args.kind == "dods":
-        n_alpha = (ne + 1) // 2
-        det = gen_dods(random_orbitals(n_alpha), random_orbitals(ne - n_alpha))
-    else:  # pragma: no cover - argparse enforces choices
-        raise SpincolError(f"unknown kind {args.kind!r}")
+    elif args.kind == "rhf" and ne % 2:
+        raise SpincolError("rhf needs an even electron count")
+    else:
+        # Occupied alpha and beta orbitals; rohf leaves one or two electrons in open shells.
+        n_beta = (ne - 1) // 2 if args.kind == "rohf" else ne // 2
+        n_alpha = ne - n_beta
+        if n_alpha > m:
+            raise DimensionMismatch(
+                f"{args.kind} with {ne} electrons needs {n_alpha} alpha and {n_beta} beta "
+                f"orbitals; --m {m} holds at most {m} of each"
+            )
+        if args.kind == "rhf":
+            det = gen_rhf(random_orbitals(n_alpha))
+        elif args.kind == "rohf":
+            det = gen_rohf(random_orbitals(n_beta), random_orbitals(n_alpha - n_beta))
+        else:
+            det = gen_dods(random_orbitals(n_alpha), random_orbitals(n_beta))
 
     save_determinant(det, args.out)
     print(f"wrote {args.out} ({args.kind}, basis_dim={m}, n_electrons={ne}, seed={args.seed})")

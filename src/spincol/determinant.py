@@ -10,10 +10,18 @@ a function of the spinor overlap blocks
 where the bracket is the spatial inner product under the (optional) AO overlap
 metric.  Only o_aa, o_ab and o_bb are stored: o_ba is the conjugate transpose
 of o_ab.  This module builds and validates those blocks.
+
+A determinant is immutable, so its products are computed once, on first use,
+and shared by the orthonormality gate, :func:`build_overlap_blocks` and
+:func:`orthonormalize`; a spin-frame rotation derives the rotated products
+from them.  A metric array is validated once, however many determinants
+share it.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +45,25 @@ GRAM_MIN_EIGENVALUE = 1e-12
 IMAG_TOL = 1e-12
 
 
+# The frozen metric copies that ``_validated_metric`` checked, by identity.
+_VALIDATED_METRICS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
 def _frozen_complex(a) -> np.ndarray:
     arr = np.array(a, dtype=np.complex128)
     arr.setflags(write=False)
     return arr
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _seed_overlaps(det: "SpinorDeterminant", o_aa, o_ab, o_bb) -> None:
+    """Give ``det`` products derived exactly from another determinant's; it never computes them."""
+    det.__dict__["_overlaps"] = _read_only(o_aa, o_ab, o_bb)
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -53,6 +76,31 @@ def _real(value: complex, what: str) -> float:
     value = complex(value)
     check_within(abs(value.imag), IMAG_TOL, f"imaginary part of {what}", NonHermitianResult)
     return value.real
+
+
+def _validated_metric(s, m: int) -> np.ndarray:
+    """``s`` as a frozen, Hermitian, positive-definite m x m metric.
+
+    An array this function returned before, still read-only, comes back as
+    is; anything else is copied and validated.
+    """
+    known = _VALIDATED_METRICS.get(id(s)) is s and not s.flags.writeable
+    if not known:
+        s = _frozen_complex(s)
+    if s.shape != (m, m):
+        raise DimensionMismatch(f"ao_overlap must be {m}x{m}, got {s.shape}")
+    if known:
+        return s
+    _check_finite("ao_overlap", s)
+    residual = np.max(np.abs(s - s.conj().T))
+    check_within(residual, HERMITICITY_TOL, "ao_overlap Hermiticity residual")
+    lowest = np.linalg.eigvalsh(s).min()
+    if not lowest > METRIC_MIN_EIGENVALUE:
+        raise SpincolError(
+            f"ao_overlap smallest eigenvalue {lowest:.3e} is not above {METRIC_MIN_EIGENVALUE:g}"
+        )
+    _VALIDATED_METRICS[id(s)] = s
+    return s
 
 
 def _metric_applied(det: "SpinorDeterminant") -> tuple[np.ndarray, np.ndarray]:
@@ -71,10 +119,16 @@ class SpinorDeterminant:
     is the Hermitian positive-definite metric of the spatial basis; ``None``
     means identity (orthonormal basis).
 
-    Construction validates shapes, finiteness and the metric.
+    Construction validates shapes, finiteness and the metric.  The metric
+    is copied and validated once per array: passing the ``ao_overlap`` of a
+    determinant that validated it, while it is still read-only, skips the
+    copy, the Hermiticity check and the eigensolve.
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
     sets can be represented and passed to :func:`orthonormalize`.
+
+    The overlap products o_aa, o_ab and o_bb are computed on first use and
+    kept for the determinant's lifetime (3·Ne² complex numbers).
     """
 
     basis_dim: int
@@ -100,28 +154,29 @@ class SpinorDeterminant:
         object.__setattr__(self, "coeff_alpha", ca)
         object.__setattr__(self, "coeff_beta", cb)
         if self.ao_overlap is not None:
-            s = _frozen_complex(self.ao_overlap)
-            if s.shape != (m, m):
-                raise DimensionMismatch(f"ao_overlap must be {m}x{m}, got {s.shape}")
-            _check_finite("ao_overlap", s)
-            residual = np.max(np.abs(s - s.conj().T))
-            check_within(residual, HERMITICITY_TOL, "ao_overlap Hermiticity residual")
-            lowest = np.linalg.eigvalsh(s).min()
-            if not lowest > METRIC_MIN_EIGENVALUE:
-                raise SpincolError(
-                    f"ao_overlap smallest eigenvalue {lowest:.3e} "
-                    f"is not above {METRIC_MIN_EIGENVALUE:g}"
-                )
-            object.__setattr__(self, "ao_overlap", s)
+            object.__setattr__(self, "ao_overlap", _validated_metric(self.ao_overlap, m))
 
     def stacked(self) -> np.ndarray:
         """Coefficients as one 2M x Ne matrix, alpha rows on top."""
         return np.vstack([self.coeff_alpha, self.coeff_beta])
 
+    @functools.cached_property
+    def _overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only products (o_aa, o_ab, o_bb): one metric application, three GEMMs.
+
+        Overflow is not warned about here; it leaves a non-finite product
+        that the orthonormality gate, or :func:`orthonormalize`, reports.
+        """
+        ca, cb = self.coeff_alpha, self.coeff_beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            sa, sb = _metric_applied(self)
+            return _read_only(ca.conj().T @ sa, ca.conj().T @ sb, cb.conj().T @ sb)
+
     def spinor_gram(self) -> np.ndarray:
         """Gram matrix of the spinors under the metric (o_aa + o_bb)."""
-        sa, sb = _metric_applied(self)
-        return self.coeff_alpha.conj().T @ sa + self.coeff_beta.conj().T @ sb
+        o_aa, _, o_bb = self._overlaps
+        with np.errstate(over="ignore", invalid="ignore"):
+            return o_aa + o_bb
 
     def orthonormality_residual(self) -> float:
         """Max absolute deviation of the spinor Gram matrix from identity."""
@@ -186,11 +241,7 @@ def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
         NotOrthonormal,
         hint="; orthonormalize first",
     )
-    ca, cb = det.coeff_alpha, det.coeff_beta
-    sa, sb = _metric_applied(det)
-    o_aa = ca.conj().T @ sa
-    o_ab = ca.conj().T @ sb
-    o_bb = cb.conj().T @ sb
+    o_aa, o_ab, o_bb = det._overlaps
     blocks = OverlapBlocks(o_aa=o_aa, o_ab=o_ab, o_bb=o_bb)
     blocks.validate()
     return blocks
@@ -224,10 +275,16 @@ def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
 def orthonormalize(det: SpinorDeterminant) -> SpinorDeterminant:
     """Return a determinant with the same spinor span, orthonormal to 1e-12.
 
-    Raises ``LinearlyDependent`` when the spinors do not span an
-    ``n_electrons``-dimensional space at tolerance.
+    Raises ``NotOrthonormal`` when the spinor Gram matrix is not finite
+    (its entries overflow), and ``LinearlyDependent`` when the spinors do
+    not span an ``n_electrons``-dimensional space at tolerance.
     """
-    new_stacked = lowdin_orthonormalize(det.stacked(), det.spinor_gram())
+    gram = det.spinor_gram()
+    if not np.isfinite(gram).all():
+        raise NotOrthonormal(
+            "spinor Gram matrix is not finite (its entries overflow); rescale the coefficients"
+        )
+    new_stacked = lowdin_orthonormalize(det.stacked(), gram)
     m = det.basis_dim
     return SpinorDeterminant(
         basis_dim=m,

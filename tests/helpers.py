@@ -32,6 +32,15 @@ def random_metric_determinant(m, ne, seed):
     return orthonormalize(raw)
 
 
+def over_metric(det, metric):
+    """``det`` over ``metric``: coefficients times metric**(-1/2), so every block is unchanged."""
+    w, v = np.linalg.eigh(metric)
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return SpinorDeterminant(
+        det.basis_dim, det.n_electrons, inv_sqrt @ det.coeff_alpha, inv_sqrt @ det.coeff_beta, metric
+    )
+
+
 def random_dods(m, n_alpha, n_beta, seed):
     rng = np.random.default_rng(seed)
     return gen_dods(random_complex(rng, m, n_alpha), random_complex(rng, m, n_beta))

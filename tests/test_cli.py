@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import helpers
+import spincol.determinant
 from spincol import (
     NotOrthonormal,
     ParseError,
@@ -19,6 +20,7 @@ from spincol import (
     build_overlap_blocks,
     gen_random_gchf,
     load_determinant,
+    orthonormalize,
     parse_determinant,
     save_determinant,
 )
@@ -412,6 +414,29 @@ def test_gen_kinds_produce_valid_files(tmp_path, capsys, kind, ne, s2):
     assert doc["decomposition"]["z_noncollinearity"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind,m,ne,counts",
+    [
+        ("rhf", 1, 4, "2 alpha and 2 beta"),
+        ("rohf", 2, 4, "3 alpha and 1 beta"),
+        ("dods", 2, 5, "3 alpha and 2 beta"),
+    ],
+)
+def test_gen_says_when_the_electrons_do_not_fit(tmp_path, capsys, kind, m, ne, counts):
+    out = tmp_path / "g.json"
+    argv = ["gen", "--kind", kind, "--m", str(m), "--ne", str(ne), "--seed", "0", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "DimensionMismatch" in err and counts in err and f"--m {m}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,m,ne", [("rhf", 2, 4), ("rohf", 2, 2), ("rohf", 2, 3), ("dods", 2, 3)])
+def test_gen_fills_every_spatial_orbital(tmp_path, capsys, kind, m, ne):
+    path = _gen_file(tmp_path, capsys, kind=kind, m=m, ne=ne, seed=1)
+    assert run(["analyze", path, "--json"]) == 0
+
+
 def test_gen_rhf_rejects_odd_count(tmp_path, capsys):
     out = str(tmp_path / "odd.json")
     assert run(["gen", "--kind", "rhf", "--m", "3", "--ne", "3", "--seed", "0", "--out", out]) == 1
@@ -487,7 +512,7 @@ OVERFLOW_DOC = json.dumps(
 def test_overflowing_gram_exits_one_with_typed_error(tmp_path, capsys, command):
     path = _write(tmp_path, "overflow.json", OVERFLOW_DOC)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert run([command, path]) == 1
     assert "NotOrthonormal" in capsys.readouterr().err
 
@@ -495,11 +520,39 @@ def test_overflowing_gram_exits_one_with_typed_error(tmp_path, capsys, command):
 def test_overflowing_gram_fails_the_library_gates(tmp_path):
     path = _write(tmp_path, "overflow.json", OVERFLOW_DOC)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(NotOrthonormal, match="nan"):
             load_determinant(path)
         with pytest.raises(NotOrthonormal, match="nan"):
             build_overlap_blocks(parse_determinant(path))
+
+
+def test_orthonormalizing_an_overflowing_gram_names_the_overflow(tmp_path, capsys):
+    path = _write(tmp_path, "overflow.json", OVERFLOW_DOC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("analyze", "axis"):
+            assert run([command, path, "--orthonormalize"]) == 1
+            err = capsys.readouterr().err
+            assert "NotOrthonormal" in err and "Gram matrix is not finite" in err
+        with pytest.raises(NotOrthonormal, match="not finite"):
+            orthonormalize(parse_determinant(path))
+
+
+def test_analyze_applies_the_metric_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "metric.json"
+    save_determinant(helpers.random_metric_determinant(4, 3, seed=2), path)
+    calls = []
+    original = spincol.determinant._metric_applied
+
+    def counting(det):
+        calls.append(det)
+        return original(det)
+
+    monkeypatch.setattr(spincol.determinant, "_metric_applied", counting)
+    assert run(["analyze", str(path), "--json", "--align-optimal"]) == 0
+    assert "aligned_decomposition" in json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
 
 
 def test_successive_runs_match_fresh_processes(tmp_path, capsys):

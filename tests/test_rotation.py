@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import spincol.determinant
 from spincol import (
+    DimensionMismatch,
     LinearlyDependent,
     NotUnitVector,
+    SpincolError,
+    SpinorDeterminant,
     SpinRotation,
     align_to_axis,
     analyze_collinearity,
@@ -108,6 +112,113 @@ def test_spin_vector_rotates_like_oracle():
     for k, mu in enumerate("xyz"):
         formula = spin_vector(build_overlap_blocks(rotated)).as_array()[k]
         assert formula == pytest.approx(exact[f"S{mu}"].real, abs=1e-10)
+
+
+CLASSES = {
+    "rhf": lambda seed: helpers.random_rhf(4, 2, seed),
+    "rohf": lambda seed: helpers.random_rohf(4, 1, 2, seed),
+    "dods": lambda seed: helpers.random_dods(4, 3, 1, seed),
+    "random": lambda seed: gen_random_gchf(4, 4, seed),
+}
+EPS = np.finfo(float).eps
+
+
+TILT = 1e-7
+DIRECTIONS = {
+    "random": None,
+    "near +z": (np.sin(TILT), 0.0, np.cos(TILT)),
+    "near -z": (0.0, np.sin(TILT), -np.cos(TILT)),
+    "+z": (0.0, 0.0, 1.0),
+    "-z": (0.0, 0.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@pytest.mark.parametrize("with_metric", [False, True])
+@pytest.mark.parametrize("direction", sorted(DIRECTIONS))
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_rotated_blocks_match_direct(kind, with_metric, direction, seed):
+    # su2_rotate derives the rotated products from the parent's; a determinant built
+    # on the same coefficients and a fresh copy of the metric computes them by GEMM.
+    rng = np.random.default_rng(700 + seed)
+    det = CLASSES[kind](seed)
+    norm = 1.0
+    if with_metric:
+        metric = helpers.random_pd_metric(rng, det.basis_dim)
+        det = helpers.over_metric(det, metric)
+        norm = np.linalg.norm(metric, 2)
+    u = DIRECTIONS[direction]
+    u = helpers.random_unit_vector(rng) if u is None else np.array(u)
+    rotated = align_to_axis(det, u)
+    direct = SpinorDeterminant(
+        det.basis_dim,
+        det.n_electrons,
+        rotated.coeff_alpha,
+        rotated.coeff_beta,
+        None if det.ao_overlap is None else np.array(det.ao_overlap),
+    )
+    seeded, computed = build_overlap_blocks(rotated), build_overlap_blocks(direct)
+    bound = 16 * det.n_electrons * EPS * max(1.0, norm)
+    for name in ("o_aa", "o_ab", "o_bb"):
+        assert np.max(np.abs(getattr(seeded, name) - getattr(computed, name))) <= bound
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_metric_is_diagonalized_and_applied_once(monkeypatch):
+    eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    applied = _count_calls(monkeypatch, spincol.determinant, "_metric_applied")
+    rng = np.random.default_rng(3)
+    det = helpers.over_metric(gen_random_gchf(5, 3, seed=3), helpers.random_pd_metric(rng, 5))
+    for _ in range(3):
+        det = align_to_axis(det, helpers.random_unit_vector(rng))
+    decompose_s2(build_overlap_blocks(det))
+    assert len(eigvalsh) == 1
+    assert len(applied) == 1
+
+
+def test_metric_is_validated_again_unless_inherited_read_only(monkeypatch):
+    det = helpers.random_metric_determinant(3, 2, seed=5)
+    calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    args = (det.basis_dim, det.n_electrons, det.coeff_alpha, det.coeff_beta)
+    assert SpinorDeterminant(*args, det.ao_overlap).ao_overlap is det.ao_overlap
+    assert len(calls) == 0
+    copy = det.ao_overlap.copy()
+    assert SpinorDeterminant(*args, copy).ao_overlap is not copy
+    assert len(calls) == 1
+    metric = det.ao_overlap
+    metric.setflags(write=True)
+    assert SpinorDeterminant(*args, metric).ao_overlap is not metric
+    assert len(calls) == 2
+
+
+def test_metric_made_writeable_and_changed_still_fails_validation():
+    det = helpers.random_metric_determinant(3, 2, seed=6)
+    args = (det.basis_dim, det.n_electrons, det.coeff_alpha, det.coeff_beta)
+    metric = det.ao_overlap
+    metric.setflags(write=True)
+    metric[...] = np.diag([1.0, 1.0, -0.5])
+    with pytest.raises(SpincolError, match="smallest eigenvalue"):
+        SpinorDeterminant(*args, metric)
+    metric[0, 1] = 0.5
+    with pytest.raises(SpincolError, match="Hermiticity"):
+        SpinorDeterminant(*args, metric)
+
+
+def test_inherited_metric_must_still_match_the_basis():
+    det = helpers.random_metric_determinant(3, 2, seed=7)
+    with pytest.raises(DimensionMismatch, match="ao_overlap"):
+        SpinorDeterminant(2, 2, np.eye(2), np.zeros((2, 2)), det.ao_overlap)
 
 
 def test_align_to_z_is_identity():
