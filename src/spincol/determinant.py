@@ -12,16 +12,15 @@ metric.  Only o_aa, o_ab and o_bb are stored: o_ba is the conjugate transpose
 of o_ab.  This module builds and validates those blocks.
 
 A determinant is immutable, so its products are computed once, on first use,
-and shared by the orthonormality gate, :func:`build_overlap_blocks` and
-:func:`orthonormalize`; a spin-frame rotation derives the rotated products
-from them.  A metric array is validated once, however many determinants
-share it.
+as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
+:func:`build_overlap_blocks` and :func:`orthonormalize`.  A determinant
+derived from another (rotated or orthonormalized) shares its parent's
+validated metric, and a rotation derives the rotated blocks from the parent's.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,25 +44,16 @@ GRAM_MIN_EIGENVALUE = 1e-12
 IMAG_TOL = 1e-12
 
 
-# The frozen metric copies that ``_validated_metric`` checked, by identity.
-_VALIDATED_METRICS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
-
 def _frozen_complex(a) -> np.ndarray:
     arr = np.array(a, dtype=np.complex128)
     arr.setflags(write=False)
     return arr
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
-def _seed_overlaps(det: "SpinorDeterminant", o_aa, o_ab, o_bb) -> None:
-    """Give ``det`` products derived exactly from another determinant's; it never computes them."""
-    det.__dict__["_overlaps"] = _read_only(o_aa, o_ab, o_bb)
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr``, frozen in place, that cannot be made writeable again."""
+    arr.setflags(write=False)
+    return arr.view()
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -79,18 +69,10 @@ def _real(value: complex, what: str) -> float:
 
 
 def _validated_metric(s, m: int) -> np.ndarray:
-    """``s`` as a frozen, Hermitian, positive-definite m x m metric.
-
-    An array this function returned before, still read-only, comes back as
-    is; anything else is copied and validated.
-    """
-    known = _VALIDATED_METRICS.get(id(s)) is s and not s.flags.writeable
-    if not known:
-        s = _frozen_complex(s)
+    """A frozen copy of ``s``, checked to be a Hermitian, positive-definite m x m metric."""
+    s = _frozen_complex(s)
     if s.shape != (m, m):
         raise DimensionMismatch(f"ao_overlap must be {m}x{m}, got {s.shape}")
-    if known:
-        return s
     _check_finite("ao_overlap", s)
     residual = np.max(np.abs(s - s.conj().T))
     check_within(residual, HERMITICITY_TOL, "ao_overlap Hermiticity residual")
@@ -99,7 +81,6 @@ def _validated_metric(s, m: int) -> np.ndarray:
         raise SpincolError(
             f"ao_overlap smallest eigenvalue {lowest:.3e} is not above {METRIC_MIN_EIGENVALUE:g}"
         )
-    _VALIDATED_METRICS[id(s)] = s
     return s
 
 
@@ -119,16 +100,14 @@ class SpinorDeterminant:
     is the Hermitian positive-definite metric of the spatial basis; ``None``
     means identity (orthonormal basis).
 
-    Construction validates shapes, finiteness and the metric.  The metric
-    is copied and validated once per array: passing the ``ao_overlap`` of a
-    determinant that validated it, while it is still read-only, skips the
-    copy, the Hermiticity check and the eigensolve.
+    Construction validates shapes, finiteness and the metric, which it
+    copies and freezes.
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
     sets can be represented and passed to :func:`orthonormalize`.
 
-    The overlap products o_aa, o_ab and o_bb are computed on first use and
-    kept for the determinant's lifetime (3·Ne² complex numbers).
+    The overlap blocks are computed on first use and kept for the
+    determinant's lifetime (3·Ne² complex numbers).
     """
 
     basis_dim: int
@@ -161,8 +140,8 @@ class SpinorDeterminant:
         return np.vstack([self.coeff_alpha, self.coeff_beta])
 
     @functools.cached_property
-    def _overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The read-only products (o_aa, o_ab, o_bb): one metric application, three GEMMs.
+    def _blocks(self) -> OverlapBlocks:
+        """The overlap blocks: one metric application, three GEMMs, sealed without a copy.
 
         Overflow is not warned about here; it leaves a non-finite product
         that the orthonormality gate, or :func:`orthonormalize`, reports.
@@ -170,17 +149,12 @@ class SpinorDeterminant:
         ca, cb = self.coeff_alpha, self.coeff_beta
         with np.errstate(over="ignore", invalid="ignore"):
             sa, sb = _metric_applied(self)
-            return _read_only(ca.conj().T @ sa, ca.conj().T @ sb, cb.conj().T @ sb)
-
-    def spinor_gram(self) -> np.ndarray:
-        """Gram matrix of the spinors under the metric (o_aa + o_bb)."""
-        o_aa, _, o_bb = self._overlaps
-        with np.errstate(over="ignore", invalid="ignore"):
-            return o_aa + o_bb
+            products = ca.conj().T @ sa, ca.conj().T @ sb, cb.conj().T @ sb
+        return OverlapBlocks(*map(_sealed, products))
 
     def orthonormality_residual(self) -> float:
         """Max absolute deviation of the spinor Gram matrix from identity."""
-        return float(np.max(np.abs(self.spinor_gram() - np.eye(self.n_electrons))))
+        return self._blocks._identity_deviation
 
 
 @dataclass(frozen=True)
@@ -189,8 +163,10 @@ class OverlapBlocks:
 
     ``o_aa`` and ``o_bb`` are Hermitian, ``o_ba`` is derived as the conjugate
     transpose of ``o_ab``, and for an orthonormal determinant ``o_aa + o_bb``
-    is the identity.  Instances are plain containers;
-    :func:`build_overlap_blocks` constructs and validates them.
+    is the identity.  Each block is held as a read-only view that cannot be
+    made writeable; an array that is not one already is copied first.
+    :func:`build_overlap_blocks` returns the determinant's own blocks,
+    validated.
     """
 
     o_aa: np.ndarray
@@ -199,7 +175,12 @@ class OverlapBlocks:
 
     def __post_init__(self):
         for name in ("o_aa", "o_ab", "o_bb"):
-            object.__setattr__(self, name, _frozen_complex(getattr(self, name)))
+            block = getattr(self, name)
+            base = getattr(block, "base", None)
+            # A view of a frozen array cannot be made writeable, so it is kept as is.
+            frozen_view = isinstance(base, np.ndarray) and not base.flags.writeable
+            if not (frozen_view and block.dtype == np.complex128):
+                object.__setattr__(self, name, _sealed(np.array(block, dtype=np.complex128)))
 
     @property
     def o_ba(self) -> np.ndarray:
@@ -208,6 +189,16 @@ class OverlapBlocks:
     @property
     def n_electrons(self) -> int:
         return self.o_aa.shape[0]
+
+    def _gram(self) -> np.ndarray:
+        """Gram matrix of the spinors under the metric, o_aa + o_bb."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.o_aa + self.o_bb
+
+    @functools.cached_property
+    def _identity_deviation(self) -> float:
+        """max|o_aa + o_bb - I|, read by the orthonormality gate and by :meth:`validate`."""
+        return float(np.max(np.abs(self._gram() - np.eye(self.n_electrons))))
 
     def validate(self) -> None:
         ne = self.n_electrons
@@ -220,13 +211,14 @@ class OverlapBlocks:
             check_within(
                 residual, HERMITICITY_TOL, f"{name} Hermiticity residual", NonHermitianResult
             )
-        deviation = np.max(np.abs(self.o_aa + self.o_bb - np.eye(ne)))
         what = "o_aa + o_bb deviation from identity"
-        check_within(deviation, ORTHONORMALITY_INPUT_TOL, what, NotOrthonormal)
+        check_within(self._identity_deviation, ORTHONORMALITY_INPUT_TOL, what, NotOrthonormal)
 
 
 def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
-    """Compute the spinor overlap blocks o_aa, o_ab and o_bb of a determinant.
+    """The spinor overlap blocks o_aa, o_ab and o_bb of a determinant, validated.
+
+    Every call returns the determinant's one :class:`OverlapBlocks`.
 
     Raises
     ------
@@ -241,8 +233,7 @@ def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
         NotOrthonormal,
         hint="; orthonormalize first",
     )
-    o_aa, o_ab, o_bb = det._overlaps
-    blocks = OverlapBlocks(o_aa=o_aa, o_ab=o_ab, o_bb=o_bb)
+    blocks = det._blocks
     blocks.validate()
     return blocks
 
@@ -272,6 +263,19 @@ def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return columns @ inv_sqrt
 
 
+def _derived(parent: SpinorDeterminant, coeff_alpha, coeff_beta, blocks=None) -> SpinorDeterminant:
+    """A determinant on ``parent``'s basis with new coefficients.
+
+    It shares ``parent``'s already validated metric array and, when given,
+    takes ``blocks`` as its products (derived exactly from the parent's).
+    """
+    det = SpinorDeterminant(parent.basis_dim, parent.n_electrons, coeff_alpha, coeff_beta)
+    object.__setattr__(det, "ao_overlap", parent.ao_overlap)
+    if blocks is not None:
+        det.__dict__["_blocks"] = blocks
+    return det
+
+
 def orthonormalize(det: SpinorDeterminant) -> SpinorDeterminant:
     """Return a determinant with the same spinor span, orthonormal to 1e-12.
 
@@ -279,20 +283,14 @@ def orthonormalize(det: SpinorDeterminant) -> SpinorDeterminant:
     (its entries overflow), and ``LinearlyDependent`` when the spinors do
     not span an ``n_electrons``-dimensional space at tolerance.
     """
-    gram = det.spinor_gram()
+    gram = det._blocks._gram()
     if not np.isfinite(gram).all():
         raise NotOrthonormal(
             "spinor Gram matrix is not finite (its entries overflow); rescale the coefficients"
         )
     new_stacked = lowdin_orthonormalize(det.stacked(), gram)
     m = det.basis_dim
-    return SpinorDeterminant(
-        basis_dim=m,
-        n_electrons=det.n_electrons,
-        coeff_alpha=new_stacked[:m],
-        coeff_beta=new_stacked[m:],
-        ao_overlap=det.ao_overlap,
-    )
+    return _derived(det, new_stacked[:m], new_stacked[m:])
 
 
 def to_identity_metric(det: SpinorDeterminant) -> SpinorDeterminant:

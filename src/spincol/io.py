@@ -77,11 +77,11 @@ def parse_determinant(path) -> SpinorDeterminant:
     """Read a determinant file without checking spinor orthonormality."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -139,17 +139,16 @@ def save_determinant(det: SpinorDeterminant, path) -> None:
     if det.ao_overlap is not None:
         matrices["ao_overlap"] = det.ao_overlap
     try:
-        fh = Path(path).open("w", encoding="utf-8")
+        with Path(path).open("w", encoding="utf-8") as fh:
+            fh.write(f'{{\n "basis_dim": {det.basis_dim},\n "n_electrons": {det.n_electrons}')
+            for field, matrix in matrices.items():
+                rows = np.stack((matrix.real, matrix.imag), axis=-1).tolist()
+                fh.write(f',\n "{field}": [\n  ')
+                fh.write(",\n  ".join(map(json.dumps, rows)))
+                fh.write("\n ]")
+            fh.write("\n}\n")
     except OSError as exc:
         raise SpincolError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        fh.write(f'{{\n "basis_dim": {det.basis_dim},\n "n_electrons": {det.n_electrons}')
-        for field, matrix in matrices.items():
-            rows = np.stack((matrix.real, matrix.imag), axis=-1).tolist()
-            fh.write(f',\n "{field}": [\n  ')
-            fh.write(",\n  ".join(map(json.dumps, rows)))
-            fh.write("\n ]")
-        fh.write("\n}\n")
 
 
 def file_sha256(path) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collinearity import _check_unit
-from .determinant import SpinorDeterminant, _seed_overlaps, lowdin_orthonormalize
+from .determinant import OverlapBlocks, SpinorDeterminant, _derived, _sealed, lowdin_orthonormalize
 from .errors import DimensionMismatch
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -56,26 +56,23 @@ def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
     """Apply the same SU(2) matrix to the (alpha, beta) pair of every spinor.
 
     The rotated determinant shares ``det``'s metric array, so it is not
-    validated again, and receives its overlap products in O(Ne²): with
+    validated again, and receives its overlap blocks in O(Ne²): with
     s, t in {alpha, beta} they are o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij,
     where o_ba = o_ab^H.  No metric application or block GEMM is repeated.
     """
     u = rot.su2()
-    rotated = SpinorDeterminant(
-        basis_dim=det.basis_dim,
-        n_electrons=det.n_electrons,
-        coeff_alpha=u[0, 0] * det.coeff_alpha + u[0, 1] * det.coeff_beta,
-        coeff_beta=u[1, 0] * det.coeff_alpha + u[1, 1] * det.coeff_beta,
-        ao_overlap=det.ao_overlap,
-    )
-    o_aa, o_ab, o_bb = det._overlaps
-    o = ((o_aa, o_ab), (o_ab.conj().T, o_bb))
+    b = det._blocks
+    o = ((b.o_aa, b.o_ab), (b.o_ba, b.o_bb))
 
     def mixed(s: int, t: int) -> np.ndarray:
-        return sum(np.conj(u[s, i]) * u[t, j] * o[i][j] for i in range(2) for j in range(2))
+        return _sealed(sum(u[s, i].conj() * u[t, j] * o[i][j] for i in range(2) for j in range(2)))
 
-    _seed_overlaps(rotated, mixed(0, 0), mixed(0, 1), mixed(1, 1))
-    return rotated
+    return _derived(
+        det,
+        coeff_alpha=u[0, 0] * det.coeff_alpha + u[0, 1] * det.coeff_beta,
+        coeff_beta=u[1, 0] * det.coeff_alpha + u[1, 1] * det.coeff_beta,
+        blocks=OverlapBlocks(mixed(0, 0), mixed(0, 1), mixed(1, 1)),
+    )
 
 
 def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:

@@ -143,6 +143,11 @@ def test_load_rejects_malformed_json(tmp_path):
         load_determinant(_write(tmp_path, "broken.json", "{not json"))
 
 
+def test_load_rejects_json_nested_past_the_recursion_limit(tmp_path):
+    with pytest.raises(ParseError, match="recursion"):
+        load_determinant(_write(tmp_path, "deep.json", "[" * 200_000))
+
+
 def test_load_rejects_missing_field(tmp_path):
     with pytest.raises(ParseError):
         load_determinant(_write(tmp_path, "missing.json", '{"basis_dim": 1}'))
@@ -482,6 +487,21 @@ def test_malformed_file_exit_code_and_diagnostics(tmp_path, capsys):
     path = _write(tmp_path, "shape.json", json.dumps(doc))
     assert run(["analyze", path]) == 1
     assert "ShapeError" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_one_with_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert run(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError") and str(path) in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_gen_reports_a_failed_write_as_typed_error(capsys):
+    argv = ["gen", "--kind", "random", "--m", "3", "--ne", "2", "--seed", "1", "--out", "/dev/full"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: SpincolError: cannot write /dev/full")
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

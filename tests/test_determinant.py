@@ -186,3 +186,24 @@ def test_arrays_are_frozen():
     blocks = build_overlap_blocks(det)
     with pytest.raises(ValueError):
         blocks.o_aa[0, 0] = 0.0
+
+
+def test_every_build_returns_the_determinants_one_blocks():
+    det = gen_random_gchf(3, 2, seed=0)
+    blocks = build_overlap_blocks(det)
+    assert build_overlap_blocks(det) is blocks
+    for name in ("o_aa", "o_ab", "o_bb"):
+        block = getattr(blocks, name)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block.setflags(write=True)
+
+
+def test_hand_built_blocks_copy_a_writeable_array():
+    good = build_overlap_blocks(gen_random_gchf(2, 2, seed=1))
+    o_aa = np.array(good.o_aa)
+    blocks = OverlapBlocks(o_aa=o_aa, o_ab=good.o_ab, o_bb=good.o_bb)
+    assert o_aa.flags.writeable
+    o_aa[0, 0] += 1.0
+    assert blocks.o_aa[0, 0] == good.o_aa[0, 0]
+    blocks.validate()

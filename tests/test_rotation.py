@@ -26,6 +26,7 @@ from spincol import (
     gen_rhf,
     gen_rohf,
     oracle_expectation,
+    orthonormalize,
     spin_vector,
     su2_rotate,
 )
@@ -187,18 +188,15 @@ def test_metric_is_diagonalized_and_applied_once(monkeypatch):
     assert len(applied) == 1
 
 
-def test_metric_is_validated_again_unless_inherited_read_only(monkeypatch):
+def test_constructor_validates_every_metric_and_derived_determinants_share_it(monkeypatch):
     det = helpers.random_metric_determinant(3, 2, seed=5)
     calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     args = (det.basis_dim, det.n_electrons, det.coeff_alpha, det.coeff_beta)
-    assert SpinorDeterminant(*args, det.ao_overlap).ao_overlap is det.ao_overlap
-    assert len(calls) == 0
-    copy = det.ao_overlap.copy()
-    assert SpinorDeterminant(*args, copy).ao_overlap is not copy
-    assert len(calls) == 1
-    metric = det.ao_overlap
-    metric.setflags(write=True)
-    assert SpinorDeterminant(*args, metric).ao_overlap is not metric
+    for metric in (det.ao_overlap, det.ao_overlap.copy()):
+        assert SpinorDeterminant(*args, metric).ao_overlap is not metric
+    assert len(calls) == 2
+    assert align_to_axis(det, [0.6, 0.0, 0.8]).ao_overlap is det.ao_overlap
+    assert orthonormalize(det).ao_overlap is det.ao_overlap
     assert len(calls) == 2
 
 
