@@ -9,12 +9,19 @@ the corresponding eigenvector is the optimal quantization axis.
 A has a closed form in the spinor overlap blocks.  With the Hermitian Ne x Ne
 compressions T_mu[k, i] = <phi_k | S_mu phi_i>,
 
-    A[mu, nu] = delta(mu, nu) * Ne / 4 - Re tr(T_mu T_nu),
+    A[mu, nu] = delta(mu, nu) * Ne / 4 - G[mu, nu],   G[mu, nu] = Re tr(T_mu T_nu),
 
-where the <S_mu><S_nu> cross terms cancel exactly.  Because the T_mu are
-Hermitian, tr(T_mu T_nu) is the Frobenius inner product vdot(T_nu, T_mu), so
-A is Ne/4 minus a 3x3 Gram matrix: six O(Ne^2) inner products, no matrix
-products.  The 3x3 eigenproblem goes to ``np.linalg.eigh``.
+where the <S_mu><S_nu> cross terms cancel exactly.  The compressions are
+T_x = (X + X^H) / 2, T_y = i (X^H - X) / 2 and T_z = D / 2, with X = o_ab and
+D = o_aa - o_bb, so the Gram matrix G needs none of them built: with
+tau = sum_ij X_ij X_ji = tr(X X) and <P, Q> = sum_ij conj(P_ij) Q_ij,
+
+    G_xx = (||X||^2 + Re tau) / 2      G_yy = (||X||^2 - Re tau) / 2
+    G_zz = ||D||^2 / 4                 G_xy = Im tau / 2
+    G_xz = Re <X, D> / 2               G_yz = -Im <X, D> / 2.
+
+That is four O(Ne^2) reductions and one subtraction, no matrix products.
+The 3x3 eigenproblem goes to ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -83,27 +90,22 @@ def spin_vector(blocks: OverlapBlocks) -> SpinVector:
     return SpinVector(sx=ladder.real, sy=ladder.imag, sz=expect_sz(blocks))
 
 
-def pauli_compressions(blocks: OverlapBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermitian Ne x Ne matrices T_mu[k, i] = <phi_k | S_mu phi_i>, mu = x, y, z."""
-    o_ab, o_ba = blocks.o_ab, blocks.o_ba
-    t_x = 0.5 * (o_ab + o_ba)
-    t_y = 0.5j * (o_ba - o_ab)
-    t_z = 0.5 * (blocks.o_aa - blocks.o_bb)
-    return t_x, t_y, t_z
-
-
 def a_matrix(blocks: OverlapBlocks) -> np.ndarray:
     """Real symmetric 3x3 spin covariance matrix A with col(u) = u^T A u.
 
-    Each entry is computed once, so A is exactly symmetric.
+    Computed from the four block reductions of the module docstring; each
+    off-diagonal entry is computed once, so A is exactly symmetric.
     """
-    t = pauli_compressions(blocks)
-    a = np.eye(3) * (blocks.n_electrons / 4.0)
-    for mu in range(3):
-        for nu in range(mu, 3):
-            a[mu, nu] -= np.vdot(t[mu], t[nu]).real
-            a[nu, mu] = a[mu, nu]
-    return a
+    x = blocks.o_ab
+    d = blocks.o_aa - blocks.o_bb
+    x_sq = np.vdot(x, x).real
+    tau = complex(np.einsum("ij,ji->", x, x))
+    x_d = complex(np.vdot(x, d))
+    g_xx, g_yy = 0.5 * (x_sq + tau.real), 0.5 * (x_sq - tau.real)
+    g_zz = 0.25 * np.vdot(d, d).real
+    g_xy, g_xz, g_yz = 0.5 * tau.imag, 0.5 * x_d.real, -0.5 * x_d.imag
+    gram = np.array([[g_xx, g_xy, g_xz], [g_xy, g_yy, g_yz], [g_xz, g_yz, g_zz]])
+    return np.eye(3) * (blocks.n_electrons / 4.0) - gram
 
 
 def _check_unit(u) -> np.ndarray:

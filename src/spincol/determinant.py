@@ -15,7 +15,8 @@ A determinant is immutable, so its products are computed once, on first use,
 as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
 :func:`build_overlap_blocks` and :func:`orthonormalize`.  A determinant
 derived from another (rotated or orthonormalized) shares its parent's
-validated metric, and a rotation derives the rotated blocks from the parent's.
+validated metric and derives its blocks from the parent's, so the metric is
+applied once per input determinant.
 """
 
 from __future__ import annotations
@@ -44,16 +45,30 @@ GRAM_MIN_EIGENVALUE = 1e-12
 IMAG_TOL = 1e-12
 
 
-def _frozen_complex(a) -> np.ndarray:
-    arr = np.array(a, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
-
-
 def _sealed(arr: np.ndarray) -> np.ndarray:
     """A view of ``arr``, frozen in place, that cannot be made writeable again."""
     arr.setflags(write=False)
     return arr.view()
+
+
+def _is_sealed(arr) -> bool:
+    """Whether ``arr`` is a read-only complex128 view of a frozen array."""
+    base = getattr(arr, "base", None)
+    return (
+        isinstance(base, np.ndarray)
+        and not base.flags.writeable
+        and not arr.flags.writeable
+        and arr.dtype == np.complex128
+    )
+
+
+def _frozen_complex(a) -> np.ndarray:
+    """``a`` as a read-only complex128 array; a sealed view is kept as is, anything else copied."""
+    if _is_sealed(a):
+        return a
+    arr = np.array(a, dtype=np.complex128)
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -176,10 +191,8 @@ class OverlapBlocks:
     def __post_init__(self):
         for name in ("o_aa", "o_ab", "o_bb"):
             block = getattr(self, name)
-            base = getattr(block, "base", None)
             # A view of a frozen array cannot be made writeable, so it is kept as is.
-            frozen_view = isinstance(base, np.ndarray) and not base.flags.writeable
-            if not (frozen_view and block.dtype == np.complex128):
+            if not _is_sealed(block):
                 object.__setattr__(self, name, _sealed(np.array(block, dtype=np.complex128)))
 
     @property
@@ -200,14 +213,20 @@ class OverlapBlocks:
         """max|o_aa + o_bb - I|, read by the orthonormality gate and by :meth:`validate`."""
         return float(np.max(np.abs(self._gram() - np.eye(self.n_electrons))))
 
+    @functools.cached_property
+    def _hermiticity_residuals(self) -> dict[str, float]:
+        """max|o - o^H| of o_aa and o_bb, computed once and checked by every :meth:`validate`."""
+        return {
+            name: float(np.max(np.abs(block - block.conj().T)))
+            for name, block in (("o_aa", self.o_aa), ("o_bb", self.o_bb))
+        }
+
     def validate(self) -> None:
         ne = self.n_electrons
         for name in ("o_aa", "o_ab", "o_bb"):
             if getattr(self, name).shape != (ne, ne):
                 raise DimensionMismatch(f"{name} must be {ne}x{ne}")
-        for name in ("o_aa", "o_bb"):
-            block = getattr(self, name)
-            residual = np.max(np.abs(block - block.conj().T))
+        for name, residual in self._hermiticity_residuals.items():
             check_within(
                 residual, HERMITICITY_TOL, f"{name} Hermiticity residual", NonHermitianResult
             )
@@ -247,20 +266,24 @@ def electron_counts(blocks: OverlapBlocks) -> tuple[float, float]:
     return _real(np.trace(blocks.o_aa), "N_alpha"), _real(np.trace(blocks.o_bb), "N_beta")
 
 
-def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Symmetric orthonormalization of ``columns`` given their Gram matrix.
-
-    Returns ``columns @ gram**(-1/2)``; the column span is preserved and the
-    result is the orthonormal set closest to the input in least-squares sense.
-    """
+def _inverse_sqrt(gram: np.ndarray) -> np.ndarray:
+    """The Hermitian gram**(-1/2), after gating the smallest eigenvalue of ``gram``."""
     w, v = np.linalg.eigh(gram)
     lowest = w.min()
     if not lowest > GRAM_MIN_EIGENVALUE:
         raise LinearlyDependent(
             f"Gram matrix smallest eigenvalue {lowest:.3e} is not above {GRAM_MIN_EIGENVALUE:g}"
         )
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return columns @ inv_sqrt
+    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
+
+
+def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Symmetric orthonormalization of ``columns`` given their Gram matrix.
+
+    Returns ``columns @ gram**(-1/2)``; the column span is preserved and the
+    result is the orthonormal set closest to the input in least-squares sense.
+    """
+    return columns @ _inverse_sqrt(gram)
 
 
 def _derived(parent: SpinorDeterminant, coeff_alpha, coeff_beta, blocks=None) -> SpinorDeterminant:
@@ -268,6 +291,7 @@ def _derived(parent: SpinorDeterminant, coeff_alpha, coeff_beta, blocks=None) ->
 
     It shares ``parent``'s already validated metric array and, when given,
     takes ``blocks`` as its products (derived exactly from the parent's).
+    Coefficients that are sealed views are kept without a copy.
     """
     det = SpinorDeterminant(parent.basis_dim, parent.n_electrons, coeff_alpha, coeff_beta)
     object.__setattr__(det, "ao_overlap", parent.ao_overlap)
@@ -279,18 +303,25 @@ def _derived(parent: SpinorDeterminant, coeff_alpha, coeff_beta, blocks=None) ->
 def orthonormalize(det: SpinorDeterminant) -> SpinorDeterminant:
     """Return a determinant with the same spinor span, orthonormal to 1e-12.
 
+    The coefficients become C G^(-1/2), with G the spinor Gram matrix, and
+    the new blocks follow from the parent's as G^(-1/2) o_st G^(-1/2), so the
+    metric is not applied again.
+
     Raises ``NotOrthonormal`` when the spinor Gram matrix is not finite
     (its entries overflow), and ``LinearlyDependent`` when the spinors do
     not span an ``n_electrons``-dimensional space at tolerance.
     """
-    gram = det._blocks._gram()
+    blocks = det._blocks
+    gram = blocks._gram()
     if not np.isfinite(gram).all():
         raise NotOrthonormal(
             "spinor Gram matrix is not finite (its entries overflow); rescale the coefficients"
         )
-    new_stacked = lowdin_orthonormalize(det.stacked(), gram)
+    inv_sqrt = _inverse_sqrt(gram)
+    new_stacked = _sealed(det.stacked() @ inv_sqrt)
     m = det.basis_dim
-    return _derived(det, new_stacked[:m], new_stacked[m:])
+    seeded = (_sealed(inv_sqrt @ o @ inv_sqrt) for o in (blocks.o_aa, blocks.o_ab, blocks.o_bb))
+    return _derived(det, new_stacked[:m], new_stacked[m:], OverlapBlocks(*seeded))
 
 
 def to_identity_metric(det: SpinorDeterminant) -> SpinorDeterminant:

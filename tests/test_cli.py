@@ -560,6 +560,7 @@ def test_orthonormalizing_an_overflowing_gram_names_the_overflow(tmp_path, capsy
 
 
 def test_analyze_applies_the_metric_once(tmp_path, capsys, monkeypatch):
+    # orthonormalize and the rotation both derive their blocks from the parent's.
     path = tmp_path / "metric.json"
     save_determinant(helpers.random_metric_determinant(4, 3, seed=2), path)
     calls = []
@@ -570,9 +571,11 @@ def test_analyze_applies_the_metric_once(tmp_path, capsys, monkeypatch):
         return original(det)
 
     monkeypatch.setattr(spincol.determinant, "_metric_applied", counting)
-    assert run(["analyze", str(path), "--json", "--align-optimal"]) == 0
-    assert "aligned_decomposition" in json.loads(capsys.readouterr().out)
-    assert len(calls) == 1
+    for flags in ([], ["--orthonormalize"]):
+        calls.clear()
+        assert run(["analyze", str(path), "--json", "--align-optimal", *flags]) == 0
+        assert "aligned_decomposition" in json.loads(capsys.readouterr().out)
+        assert len(calls) == 1, flags
 
 
 def test_successive_runs_match_fresh_processes(tmp_path, capsys):

@@ -10,6 +10,7 @@ from spincol import (
     FockVector,
     NotSymmetric,
     NotUnitVector,
+    SpinorDeterminant,
     SpinRotation,
     a_matrix,
     analyze_collinearity,
@@ -23,6 +24,7 @@ from spincol import (
     gen_rhf,
     min_collinearity,
     oracle_expectation,
+    orthonormalize,
     spin_vector,
     su2_rotate,
 )
@@ -76,6 +78,58 @@ def test_a_matrix_matches_oracle_products(m, ne, seed):
         for j, nu in enumerate("xyz"):
             re_smn = exact[f"S{mu}S{nu}"].real
             assert a[i, j] + s[i] * s[j] == pytest.approx(re_smn, abs=1e-10)
+
+
+def _explicit_a(blocks) -> np.ndarray:
+    """Ne/4 minus the Gram matrix Re tr(T_mu T_nu) of explicitly built Pauli compressions."""
+    x, d = blocks.o_ab, blocks.o_aa - blocks.o_bb
+    t = (0.5 * (x + x.conj().T), 0.5j * (x.conj().T - x), 0.5 * d)
+    gram = np.array([[np.trace(t_mu @ t_nu).real for t_nu in t] for t_mu in t])
+    return np.eye(3) * (blocks.n_electrons / 4.0) - gram
+
+
+def _near_collinear(m, n_alpha, n_beta, seed):
+    # A DODS determinant with a 1e-3 admixture of random spinors, re-orthonormalized.
+    rng = np.random.default_rng(seed)
+    det = helpers.random_dods(m, n_alpha, n_beta, seed)
+    ne = n_alpha + n_beta
+    return orthonormalize(
+        SpinorDeterminant(
+            m,
+            ne,
+            det.coeff_alpha + 1e-3 * helpers.random_complex(rng, m, ne),
+            det.coeff_beta + 1e-3 * helpers.random_complex(rng, m, ne),
+        )
+    )
+
+
+def _tilted_dods(m, n_alpha, n_beta, seed):
+    rng = np.random.default_rng(seed)
+    rot = SpinRotation(helpers.random_unit_vector(rng), rng.uniform(0.1, 3.0))
+    return su2_rotate(helpers.random_dods(m, n_alpha, n_beta, seed), rot)
+
+
+A_FAMILIES = {
+    "random": lambda m, ne, seed: gen_random_gchf(m, ne, seed),
+    "tilted dods": lambda m, ne, seed: _tilted_dods(m, ne - ne // 3, ne // 3, seed),
+    "near-collinear": lambda m, ne, seed: _near_collinear(m, ne - ne // 3, ne // 3, seed),
+}
+
+
+@pytest.mark.parametrize("family", sorted(A_FAMILIES))
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("m,ne", [(2, 1), (3, 2), (8, 7), (20, 25), (45, 60)])
+def test_a_matrix_matches_the_gram_of_explicit_compressions(family, with_metric, m, ne):
+    det = A_FAMILIES[family](m, ne, seed=m + ne)
+    if with_metric:
+        rng = np.random.default_rng(ne)
+        det = helpers.over_metric(det, helpers.random_pd_metric(rng, m))
+    blocks = build_overlap_blocks(det)
+    a = a_matrix(blocks)
+    assert np.array_equal(a, a.T)
+    assert np.max(np.abs(a - _explicit_a(blocks))) <= 1e-13 * max(1, ne)
+    if family == "tilted dods":
+        assert abs(analyze_collinearity(blocks).col) <= 1e-13 * max(1, ne)
 
 
 def test_col_along_trivials():

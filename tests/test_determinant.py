@@ -126,6 +126,24 @@ def test_orthonormalize_under_metric():
     assert np.max(np.abs(blocks.o_aa + blocks.o_bb - np.eye(2))) < 1e-10
 
 
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("seed", range(4))
+def test_orthonormalized_blocks_match_a_rebuild(with_metric, seed):
+    # orthonormalize derives the new blocks from the parent's as G^(-1/2) o G^(-1/2);
+    # a determinant built on the new coefficients and a fresh metric copy computes them by GEMM.
+    rng = np.random.default_rng(900 + seed)
+    metric = helpers.random_pd_metric(rng, 6) if with_metric else None
+    coeffs = helpers.random_complex(rng, 6, 5), helpers.random_complex(rng, 6, 5)
+    raw = SpinorDeterminant(6, 5, *coeffs, metric)
+    ortho = orthonormalize(raw)
+    rebuilt = SpinorDeterminant(
+        6, 5, ortho.coeff_alpha, ortho.coeff_beta, None if metric is None else metric.copy()
+    )
+    seeded, computed = build_overlap_blocks(ortho), build_overlap_blocks(rebuilt)
+    for name in ("o_aa", "o_ab", "o_bb"):
+        assert np.max(np.abs(getattr(seeded, name) - getattr(computed, name))) <= 1e-12
+
+
 def test_to_identity_metric_preserves_blocks():
     det = helpers.random_metric_determinant(3, 2, seed=21)
     plain = to_identity_metric(det)
@@ -175,8 +193,28 @@ def test_blocks_validate_catches_corruption():
         o_ab=good.o_ab,
         o_bb=good.o_bb,
     )
-    with pytest.raises(NonHermitianResult):
-        tampered.validate()
+    # The residuals are computed once per blocks object but checked on every call.
+    for _ in range(3):
+        with pytest.raises(NonHermitianResult, match="o_aa Hermiticity"):
+            tampered.validate()
+
+
+def test_hermiticity_residuals_are_computed_once_per_blocks_object(monkeypatch):
+    prop = OverlapBlocks.__dict__["_hermiticity_residuals"]
+    calls = []
+    original = prop.func
+
+    def counting(blocks):
+        calls.append(blocks)
+        return original(blocks)
+
+    monkeypatch.setattr(prop, "func", counting)
+    dets = [gen_random_gchf(3, 2, seed) for seed in range(2)]
+    for _ in range(3):
+        for det in dets:
+            build_overlap_blocks(det)
+    assert len(calls) == 2
+    assert {id(blocks) for blocks in calls} == {id(det._blocks) for det in dets}
 
 
 def test_arrays_are_frozen():

@@ -164,6 +164,18 @@ def test_seeded_rotated_blocks_match_direct(kind, with_metric, direction, seed):
         assert np.max(np.abs(getattr(seeded, name) - getattr(computed, name))) <= bound
 
 
+def test_rotated_blocks_and_coefficients_are_sealed():
+    det = helpers.random_metric_determinant(4, 3, seed=12)
+    rotated = align_to_axis(det, [0.6, 0.0, 0.8])
+    blocks = build_overlap_blocks(rotated)
+    arrays = [rotated.coeff_alpha, rotated.coeff_beta]
+    arrays += [getattr(blocks, name) for name in ("o_aa", "o_ab", "o_bb")]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+
+
 def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
     original = getattr(owner, name)
