@@ -9,7 +9,8 @@ gen            write a generated determinant (rhf, rohf, dods, random)
 paper-fixture  regression checks against the published H2O+ reference values
 
 Exit codes: 0 success, 1 validation or consistency failure, 2 usage error.
-Text reports print six decimals; JSON reports print full precision.
+Text reports print six decimals, and a value that rounds to zero prints as
++0.000000 whatever its sign; JSON reports print full precision.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ _CONSISTENCY_TOL = 1e-10
 _EIGEN_RESIDUAL_TOL = 1e-9
 
 
+def _f6(value: float) -> str:
+    """``value`` to six signed decimals; a value that rounds to zero prints as +0.000000."""
+    text = f"{value:+.6f}"
+    return "+0.000000" if text == "-0.000000" else text
+
+
 def _report_text(doc: dict) -> str:
     """Six-decimal text rendering of the ``analyze --json`` document."""
     counts, e, v = doc["electron_counts"], doc["expectations"], doc["spin_vector"]
@@ -60,26 +67,26 @@ def _report_text(doc: dict) -> str:
         f"sha256: {doc['input']['sha256']}",
         f"basis_dim: {doc['basis_dim']}   n_electrons: {doc['n_electrons']}",
         "",
-        f"N_alpha              {counts['n_alpha']:+.6f}",
-        f"N_beta               {counts['n_beta']:+.6f}",
-        f"<Sz>                 {e['sz']:+.6f}",
-        f"<Sz^2>               {e['sz2']:+.6f}",
-        f"<S-S+>               {e['sminus_splus']:+.6f}",
-        f"<S+S->               {e['splus_sminus']:+.6f}",
-        f"<S+>                 {e['splus']['re']:+.6f} {e['splus']['im']:+.6f}i",
-        f"<S^2>                {e['s2']:+.6f}",
+        f"N_alpha              {_f6(counts['n_alpha'])}",
+        f"N_beta               {_f6(counts['n_beta'])}",
+        f"<Sz>                 {_f6(e['sz'])}",
+        f"<Sz^2>               {_f6(e['sz2'])}",
+        f"<S-S+>               {_f6(e['sminus_splus'])}",
+        f"<S+S->               {_f6(e['splus_sminus'])}",
+        f"<S+>                 {_f6(e['splus']['re'])} {_f6(e['splus']['im'])}i",
+        f"<S^2>                {_f6(e['s2'])}",
         "",
         "decomposition of <S^2>",
         *_decomposition_text(doc["decomposition"]),
         "",
         "spin vector",
-        f"  <Sx> <Sy> <Sz>     {v['sx']:+.6f} {v['sy']:+.6f} {v['sz']:+.6f}",
+        f"  <Sx> <Sy> <Sz>     {_f6(v['sx'])} {_f6(v['sy'])} {_f6(v['sz'])}",
         "",
         *_collinearity_text(doc["collinearity"]),
     ]
     if "axis_query" in doc:
         axis, value = doc["axis_query"]["axis"], doc["axis_query"]["col_along"]
-        lines += ["", f"col along ({axis[0]:+.6f}, {axis[1]:+.6f}, {axis[2]:+.6f}) = {value:+.6f}"]
+        lines += ["", f"col along ({_f6(axis[0])}, {_f6(axis[1])}, {_f6(axis[2])}) = {_f6(value)}"]
     if "aligned_decomposition" in doc:
         lines += ["", "decomposition after aligning z to the optimal axis"]
         lines += _decomposition_text(doc["aligned_decomposition"])
@@ -87,7 +94,7 @@ def _report_text(doc: dict) -> str:
 
 
 def _decomposition_text(d: dict) -> list[str]:
-    return [f"  {name:<20} {value:+.6f}" for name, value in d.items()]
+    return [f"  {name:<20} {_f6(value)}" for name, value in d.items()]
 
 
 def _collinearity_dict(c: CollinearityResult) -> dict:
@@ -104,12 +111,12 @@ def _collinearity_dict(c: CollinearityResult) -> dict:
 def _collinearity_text(c: dict) -> list[str]:
     lines = ["collinearity"]
     for row in c["a_matrix"]:
-        lines.append(f"  A row              {row[0]:+.6f} {row[1]:+.6f} {row[2]:+.6f}")
+        lines.append(f"  A row              {_f6(row[0])} {_f6(row[1])} {_f6(row[2])}")
     ev = c["eigenvalues"]
-    lines.append(f"  eigenvalues        {ev[0]:+.6f} {ev[1]:+.6f} {ev[2]:+.6f}")
-    lines.append(f"  col                {c['col']:+.6f}")
+    lines.append(f"  eigenvalues        {_f6(ev[0])} {_f6(ev[1])} {_f6(ev[2])}")
+    lines.append(f"  col                {_f6(c['col'])}")
     ax = c["optimal_axis"]
-    lines.append(f"  optimal_axis       {ax[0]:+.6f} {ax[1]:+.6f} {ax[2]:+.6f}")
+    lines.append(f"  optimal_axis       {_f6(ax[0])} {_f6(ax[1])} {_f6(ax[2])}")
     lines.append(f"  degenerate         {'yes' if c['degenerate'] else 'no'}")
     return lines
 

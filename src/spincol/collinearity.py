@@ -67,7 +67,10 @@ class CollinearityResult:
     eigenvalue shared within 1e-10.  In that case the axis is the unit vector
     of the lowest eigenspace maximizing the key (|z|, |x|, |y|), see
     :func:`min_collinearity`; it depends on A alone and need not be one of
-    the ``eigenvectors`` columns.
+    the ``eigenvectors`` columns.  ``degenerate`` covers only the lowest
+    pair: the columns of a degenerate pair of higher eigenvalues are an
+    arbitrary orthonormal basis of their eigenspace, which a rounding-level
+    change in A may rotate within it.
     """
 
     a_matrix: np.ndarray
@@ -93,16 +96,13 @@ def spin_vector(blocks: OverlapBlocks) -> SpinVector:
 def a_matrix(blocks: OverlapBlocks) -> np.ndarray:
     """Real symmetric 3x3 spin covariance matrix A with col(u) = u^T A u.
 
-    Computed from the four block reductions of the module docstring; each
-    off-diagonal entry is computed once, so A is exactly symmetric.
+    Computed from the four block reductions of the module docstring, which
+    the blocks object caches; each off-diagonal entry is computed once, so A
+    is exactly symmetric.
     """
-    x = blocks.o_ab
-    d = blocks.o_aa - blocks.o_bb
-    x_sq = np.vdot(x, x).real
-    tau = complex(np.einsum("ij,ji->", x, x))
-    x_d = complex(np.vdot(x, d))
+    x_sq, tau, x_d = blocks._x_norm_sq, blocks._x_trace_sq, blocks._x_dot_d
     g_xx, g_yy = 0.5 * (x_sq + tau.real), 0.5 * (x_sq - tau.real)
-    g_zz = 0.25 * np.vdot(d, d).real
+    g_zz = 0.25 * blocks._d_norm_sq
     g_xy, g_xz, g_yz = 0.5 * tau.imag, 0.5 * x_d.real, -0.5 * x_d.imag
     gram = np.array([[g_xx, g_xy, g_xz], [g_xy, g_yy, g_yz], [g_xz, g_yz, g_zz]])
     return np.eye(3) * (blocks.n_electrons / 4.0) - gram

@@ -2,14 +2,15 @@
 
 A determinant of ``n_electrons`` two-component spinors over an ``basis_dim``
 dimensional spatial basis is stored as two complex coefficient matrices, one
-per spin component.  Every spin quantity computed elsewhere in this package is
-a function of the spinor overlap blocks
+per spin component, the two halves of one (2, M, Ne) buffer.  Every spin
+quantity computed elsewhere in this package is a function of the spinor
+overlap blocks
 
     o_st[i, j] = <phi_i^s | phi_j^t>,   s, t in {alpha, beta},
 
 where the bracket is the spatial inner product under the (optional) AO overlap
-metric.  Only o_aa, o_ab and o_bb are stored: o_ba is the conjugate transpose
-of o_ab.  This module builds and validates those blocks.
+metric.  o_aa, o_ab and o_bb are computed; o_ba is the conjugate transpose of
+o_ab.  This module builds and validates those blocks.
 
 A determinant is immutable, so its products are computed once, on first use,
 as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
@@ -22,7 +23,7 @@ applied once per input determinant.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +37,17 @@ from .errors import (
 )
 
 # Input determinants may carry print rounding, hence the loose acceptance
-# threshold; explicit orthonormalization restores orthonormality to 1e-12.
+# threshold.  Explicit orthonormalization leaves a residual of about
+# cond(G)·eps, with G the spinor Gram matrix, so it does not always get under it.
 ORTHONORMALITY_INPUT_TOL = 1e-8
 HERMITICITY_TOL = 1e-12
 METRIC_MIN_EIGENVALUE = 1e-10
 GRAM_MIN_EIGENVALUE = 1e-12
 # Quantities that must be real are checked, never silently truncated.
 IMAG_TOL = 1e-12
+# Rows per panel of the Hermiticity residual: a 64-row panel of an Ne x Ne
+# block and the matching column panel stay in cache together.
+_PANEL = 64
 
 
 def _sealed(arr: np.ndarray) -> np.ndarray:
@@ -71,6 +76,43 @@ def _frozen_complex(a) -> np.ndarray:
     return arr
 
 
+def _shared_buffer(ca: np.ndarray, cb: np.ndarray) -> np.ndarray | None:
+    """The frozen (2, M, Ne) array whose two halves are the sealed views ``ca`` and ``cb``, or None."""
+    base = ca.base
+    if not (
+        _is_sealed(ca)
+        and _is_sealed(cb)
+        and cb.base is base
+        and base.flags.c_contiguous
+        and base.size == 2 * ca.size
+    ):
+        return None
+    buf = base.reshape(2, *ca.shape)
+    halves = (ca.__array_interface__, cb.__array_interface__)
+    return buf if halves == (buf[0].__array_interface__, buf[1].__array_interface__) else None
+
+
+def _hermiticity_residual(block: np.ndarray) -> float:
+    """max|block - block^H|, from the upper triangle, one row panel at a time.
+
+    |o_ij - conj(o_ji)| and |o_ji - conj(o_ij)| are the same number, so each
+    row panel is compared with the matching column panel from the diagonal
+    on.  ``np.maximum`` carries a NaN through, where Python's ``max`` may drop it.
+    """
+    residual = 0.0
+    for start in range(0, block.shape[0], _PANEL):
+        rows = block[start : start + _PANEL, start:]
+        cols = block[start:, start : start + _PANEL]
+        residual = np.maximum(residual, np.max(np.abs(rows - cols.T.conj())))
+    return float(residual)
+
+
+def _sealed_stack(stack: np.ndarray) -> np.ndarray:
+    """``stack`` sealed, after writing o_ab^H (the conjugate transpose of slot 1) into slot 2."""
+    np.conjugate(stack[1].T, out=stack[2])
+    return _sealed(stack)
+
+
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise SpincolError(f"{name} has a non-finite entry (NaN or infinity)")
@@ -89,8 +131,7 @@ def _validated_metric(s, m: int) -> np.ndarray:
     if s.shape != (m, m):
         raise DimensionMismatch(f"ao_overlap must be {m}x{m}, got {s.shape}")
     _check_finite("ao_overlap", s)
-    residual = np.max(np.abs(s - s.conj().T))
-    check_within(residual, HERMITICITY_TOL, "ao_overlap Hermiticity residual")
+    check_within(_hermiticity_residual(s), HERMITICITY_TOL, "ao_overlap Hermiticity residual")
     lowest = np.linalg.eigvalsh(s).min()
     if not lowest > METRIC_MIN_EIGENVALUE:
         raise SpincolError(
@@ -116,13 +157,17 @@ class SpinorDeterminant:
     means identity (orthonormal basis).
 
     Construction validates shapes, finiteness and the metric, which it
-    copies and freezes.
+    copies and freezes.  The coefficients are copied into one frozen
+    (2, M, Ne) buffer, alpha then beta, and ``coeff_alpha`` and
+    ``coeff_beta`` are read-only views of its halves; two views that already
+    are the halves of one frozen buffer (a derived determinant's) are kept
+    without a copy.
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
     sets can be represented and passed to :func:`orthonormalize`.
 
     The overlap blocks are computed on first use and kept for the
-    determinant's lifetime (3·Ne² complex numbers).
+    determinant's lifetime (4·Ne² complex numbers, o_ba included).
     """
 
     basis_dim: int
@@ -130,6 +175,7 @@ class SpinorDeterminant:
     coeff_alpha: np.ndarray
     coeff_beta: np.ndarray
     ao_overlap: np.ndarray | None = None
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, ne = self.basis_dim, self.n_electrons
@@ -137,35 +183,50 @@ class SpinorDeterminant:
             raise DimensionMismatch(f"need basis_dim >= 1 and n_electrons >= 1, got {m}, {ne}")
         if ne > 2 * m:
             raise DimensionMismatch(f"{ne} electrons do not fit in {2 * m} spin-orbitals")
-        ca = _frozen_complex(self.coeff_alpha)
-        cb = _frozen_complex(self.coeff_beta)
+        ca, cb = np.asarray(self.coeff_alpha), np.asarray(self.coeff_beta)
         if ca.shape != (m, ne) or cb.shape != (m, ne):
             raise DimensionMismatch(
                 f"coefficient matrices must be {m}x{ne}, got {ca.shape} and {cb.shape}"
             )
-        _check_finite("coeff_alpha", ca)
-        _check_finite("coeff_beta", cb)
-        object.__setattr__(self, "coeff_alpha", ca)
-        object.__setattr__(self, "coeff_beta", cb)
+        coeffs = _shared_buffer(ca, cb)
+        if coeffs is None:
+            coeffs = np.empty((2, m, ne), dtype=np.complex128)
+            coeffs[0], coeffs[1] = ca, cb
+            coeffs = _sealed(coeffs)
+        _check_finite("coeff_alpha", coeffs[0])
+        _check_finite("coeff_beta", coeffs[1])
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "coeff_alpha", coeffs[0])
+        object.__setattr__(self, "coeff_beta", coeffs[1])
         if self.ao_overlap is not None:
             object.__setattr__(self, "ao_overlap", _validated_metric(self.ao_overlap, m))
 
+    def __reduce__(self):
+        # Copies and unpickled determinants go through the constructor, so they are
+        # frozen and hold their coefficients in one buffer too.
+        args = self.basis_dim, self.n_electrons, self.coeff_alpha, self.coeff_beta, self.ao_overlap
+        return SpinorDeterminant, args
+
     def stacked(self) -> np.ndarray:
-        """Coefficients as one 2M x Ne matrix, alpha rows on top."""
-        return np.vstack([self.coeff_alpha, self.coeff_beta])
+        """Coefficients as one read-only 2M x Ne matrix, alpha rows on top (a view, no copy)."""
+        return self._coeffs.reshape(2 * self.basis_dim, self.n_electrons)
 
     @functools.cached_property
     def _blocks(self) -> OverlapBlocks:
-        """The overlap blocks: one metric application, three GEMMs, sealed without a copy.
+        """The overlap blocks: one metric application and three GEMMs, written into one stack.
 
         Overflow is not warned about here; it leaves a non-finite product
         that the orthonormality gate, or :func:`orthonormalize`, reports.
         """
-        ca, cb = self.coeff_alpha, self.coeff_beta
+        ne = self.n_electrons
+        stack = np.empty((4, ne, ne), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             sa, sb = _metric_applied(self)
-            products = ca.conj().T @ sa, ca.conj().T @ sb, cb.conj().T @ sb
-        return OverlapBlocks(*map(_sealed, products))
+            ca_h, cb_h = (c.T for c in self._coeffs.conj())
+            np.matmul(ca_h, sa, out=stack[0])
+            np.matmul(ca_h, sb, out=stack[1])
+            np.matmul(cb_h, sb, out=stack[3])
+        return OverlapBlocks._of_stack(stack)
 
     def orthonormality_residual(self) -> float:
         """Max absolute deviation of the spinor Gram matrix from identity."""
@@ -176,12 +237,19 @@ class SpinorDeterminant:
 class OverlapBlocks:
     """The Ne x Ne spinor-component overlap matrices o_aa, o_ab and o_bb.
 
-    ``o_aa`` and ``o_bb`` are Hermitian, ``o_ba`` is derived as the conjugate
-    transpose of ``o_ab``, and for an orthonormal determinant ``o_aa + o_bb``
-    is the identity.  Each block is held as a read-only view that cannot be
-    made writeable; an array that is not one already is copied first.
+    ``o_aa`` and ``o_bb`` are Hermitian, ``o_ba`` is the conjugate transpose
+    of ``o_ab``, and for an orthonormal determinant ``o_aa + o_bb`` is the
+    identity.  Each block is held as a read-only view that cannot be made
+    writeable; an array that is not one already is copied first.
     :func:`build_overlap_blocks` returns the determinant's own blocks,
     validated.
+
+    A determinant's blocks are views of one frozen (4, Ne, Ne) stack
+    [o_aa, o_ab, o_ba, o_bb], the operand of the SU(2) mixing GEMM; any other
+    blocks object copies itself into such a stack on first use.  The
+    O(Ne²) reductions every spin formula reads (with X = o_ab and
+    D = o_aa - o_bb: ||D||², ||X||², tr(X X) and <X, D>) are scalars,
+    each computed at most once, when first read.
     """
 
     o_aa: np.ndarray
@@ -195,9 +263,26 @@ class OverlapBlocks:
             if not _is_sealed(block):
                 object.__setattr__(self, name, _sealed(np.array(block, dtype=np.complex128)))
 
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray) -> OverlapBlocks:
+        """Blocks that are views of ``stack`` (o_aa, o_ab and o_bb in slots 0, 1 and 3), which they keep."""
+        stack = _sealed_stack(stack)
+        blocks = cls(stack[0], stack[1], stack[3])
+        blocks.__dict__["_stack"] = stack
+        return blocks
+
+    @functools.cached_property
+    def _stack(self) -> np.ndarray:
+        """[o_aa, o_ab, o_ba, o_bb] as one frozen (4, Ne, Ne) array."""
+        ne = self.n_electrons
+        stack = np.empty((4, ne, ne), dtype=np.complex128)
+        stack[0], stack[1], stack[3] = self.o_aa, self.o_ab, self.o_bb
+        return _sealed_stack(stack)
+
     @property
     def o_ba(self) -> np.ndarray:
-        return self.o_ab.conj().T
+        """o_ab^H, slot 2 of the stack."""
+        return self._stack[2]
 
     @property
     def n_electrons(self) -> int:
@@ -211,15 +296,35 @@ class OverlapBlocks:
     @functools.cached_property
     def _identity_deviation(self) -> float:
         """max|o_aa + o_bb - I|, read by the orthonormality gate and by :meth:`validate`."""
-        return float(np.max(np.abs(self._gram() - np.eye(self.n_electrons))))
+        deviation = self._gram()
+        deviation.reshape(-1)[:: self.n_electrons + 1] -= 1.0
+        return float(np.max(np.abs(deviation)))
 
     @functools.cached_property
     def _hermiticity_residuals(self) -> dict[str, float]:
         """max|o - o^H| of o_aa and o_bb, computed once and checked by every :meth:`validate`."""
-        return {
-            name: float(np.max(np.abs(block - block.conj().T)))
-            for name, block in (("o_aa", self.o_aa), ("o_bb", self.o_bb))
-        }
+        return {name: _hermiticity_residual(getattr(self, name)) for name in ("o_aa", "o_bb")}
+
+    @functools.cached_property
+    def _d_norm_sq(self) -> float:
+        """||o_aa - o_bb||_F^2."""
+        d = self.o_aa - self.o_bb
+        return float(np.vdot(d, d).real)
+
+    @functools.cached_property
+    def _x_norm_sq(self) -> float:
+        """||o_ab||_F^2."""
+        return float(np.vdot(self.o_ab, self.o_ab).real)
+
+    @functools.cached_property
+    def _x_trace_sq(self) -> complex:
+        """tr(o_ab o_ab) = sum_ij o_ab[i, j] o_ab[j, i]."""
+        return complex(np.einsum("ij,ji->", self.o_ab, self.o_ab))
+
+    @functools.cached_property
+    def _x_dot_d(self) -> complex:
+        """<o_ab, o_aa - o_bb> = sum_ij conj(o_ab[i, j]) (o_aa - o_bb)[i, j]."""
+        return complex(np.vdot(self.o_ab, self.o_aa - self.o_bb))
 
     def validate(self) -> None:
         ne = self.n_electrons
@@ -266,15 +371,15 @@ def electron_counts(blocks: OverlapBlocks) -> tuple[float, float]:
     return _real(np.trace(blocks.o_aa), "N_alpha"), _real(np.trace(blocks.o_bb), "N_beta")
 
 
-def _inverse_sqrt(gram: np.ndarray) -> np.ndarray:
-    """The Hermitian gram**(-1/2), after gating the smallest eigenvalue of ``gram``."""
+def _inverse_sqrt(gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Hermitian gram**(-1/2) and the smallest eigenvalue of ``gram``, after gating it."""
     w, v = np.linalg.eigh(gram)
     lowest = w.min()
     if not lowest > GRAM_MIN_EIGENVALUE:
         raise LinearlyDependent(
             f"Gram matrix smallest eigenvalue {lowest:.3e} is not above {GRAM_MIN_EIGENVALUE:g}"
         )
-    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    return (v * (1.0 / np.sqrt(w))) @ v.conj().T, lowest
 
 
 def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -283,32 +388,34 @@ def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
     Returns ``columns @ gram**(-1/2)``; the column span is preserved and the
     result is the orthonormal set closest to the input in least-squares sense.
     """
-    return columns @ _inverse_sqrt(gram)
+    return columns @ _inverse_sqrt(gram)[0]
 
 
-def _derived(parent: SpinorDeterminant, coeff_alpha, coeff_beta, blocks=None) -> SpinorDeterminant:
-    """A determinant on ``parent``'s basis with new coefficients.
+def _derived(parent: SpinorDeterminant, coeffs: np.ndarray, blocks: OverlapBlocks) -> SpinorDeterminant:
+    """A determinant on ``parent``'s basis with the sealed (2, M, Ne) coefficients ``coeffs``.
 
-    It shares ``parent``'s already validated metric array and, when given,
-    takes ``blocks`` as its products (derived exactly from the parent's).
-    Coefficients that are sealed views are kept without a copy.
+    It keeps ``coeffs`` as its buffer without a copy, shares ``parent``'s
+    already validated metric array and takes ``blocks`` as its products
+    (derived exactly from the parent's).
     """
-    det = SpinorDeterminant(parent.basis_dim, parent.n_electrons, coeff_alpha, coeff_beta)
+    det = SpinorDeterminant(parent.basis_dim, parent.n_electrons, *coeffs)
     object.__setattr__(det, "ao_overlap", parent.ao_overlap)
-    if blocks is not None:
-        det.__dict__["_blocks"] = blocks
+    det.__dict__["_blocks"] = blocks
     return det
 
 
 def orthonormalize(det: SpinorDeterminant) -> SpinorDeterminant:
-    """Return a determinant with the same spinor span, orthonormal to 1e-12.
+    """Return a determinant with the same spinor span and orthonormal spinors.
 
     The coefficients become C G^(-1/2), with G the spinor Gram matrix, and
     the new blocks follow from the parent's as G^(-1/2) o_st G^(-1/2), so the
-    metric is not applied again.
+    metric is not applied again.  The result's orthonormality residual is
+    about cond(G)·eps, not a fixed bound.
 
     Raises ``NotOrthonormal`` when the spinor Gram matrix is not finite
-    (its entries overflow), and ``LinearlyDependent`` when the spinors do
+    (its entries overflow) or when the result's residual still exceeds
+    ``ORTHONORMALITY_INPUT_TOL`` (G is nearly singular; the message names
+    its smallest eigenvalue), and ``LinearlyDependent`` when the spinors do
     not span an ``n_electrons``-dimensional space at tolerance.
     """
     blocks = det._blocks
@@ -317,11 +424,22 @@ def orthonormalize(det: SpinorDeterminant) -> SpinorDeterminant:
         raise NotOrthonormal(
             "spinor Gram matrix is not finite (its entries overflow); rescale the coefficients"
         )
-    inv_sqrt = _inverse_sqrt(gram)
-    new_stacked = _sealed(det.stacked() @ inv_sqrt)
-    m = det.basis_dim
-    seeded = (_sealed(inv_sqrt @ o @ inv_sqrt) for o in (blocks.o_aa, blocks.o_ab, blocks.o_bb))
-    return _derived(det, new_stacked[:m], new_stacked[m:], OverlapBlocks(*seeded))
+    inv_sqrt, lowest = _inverse_sqrt(gram)
+    m, ne = det.basis_dim, det.n_electrons
+    coeffs = _sealed(det.stacked() @ inv_sqrt).reshape(2, m, ne)
+    stack = np.empty((4, ne, ne), dtype=np.complex128)
+    for k, o in zip((0, 1, 3), (blocks.o_aa, blocks.o_ab, blocks.o_bb)):
+        np.matmul(inv_sqrt @ o, inv_sqrt, out=stack[k])
+    ortho = _derived(det, coeffs, OverlapBlocks._of_stack(stack))
+    check_within(
+        ortho._blocks._identity_deviation,
+        ORTHONORMALITY_INPUT_TOL,
+        "spinor orthonormality residual after orthonormalization",
+        NotOrthonormal,
+        hint=f"; the spinor Gram matrix's smallest eigenvalue is {lowest:.3e}, "
+        "so the spinors are nearly linearly dependent",
+    )
+    return ortho
 
 
 def to_identity_metric(det: SpinorDeterminant) -> SpinorDeterminant:

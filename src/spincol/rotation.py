@@ -55,30 +55,24 @@ class SpinRotation:
 def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
     """Apply the same SU(2) matrix to the (alpha, beta) pair of every spinor.
 
-    The rotated determinant shares ``det``'s metric array, so it is not
-    validated again, and receives its overlap blocks in O(Ne²): with
-    s, t in {alpha, beta} they are o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij,
-    where o_ba = o_ab^H.  The three stored blocks come from one mixing GEMM,
-    a 3 x 4 weight matrix times the 4 x Ne² stack [o_aa, o_ab, o_ba, o_bb],
-    so o_ab is transposed once and no metric application or block GEMM is
-    repeated.
+    The coefficients are rotated by one GEMM, u times the (2, M·Ne) view of
+    the coefficient buffer.  The rotated determinant shares ``det``'s metric
+    array, so it is not validated again, and receives its overlap blocks in
+    O(Ne²): with s, t in {alpha, beta} they are
+    o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij, where o_ba = o_ab^H.  The three
+    stored blocks come from one mixing GEMM, a 3 x 4 weight matrix times the
+    (4, Ne²) view of the stack [o_aa, o_ab, o_ba, o_bb], so no block is
+    copied and no metric application or block GEMM is repeated.
     """
     u = rot.su2()
     b = det._blocks
-    ne = b.n_electrons
-    stack = np.empty((4, ne, ne), dtype=np.complex128)
-    stack[0], stack[1], stack[3] = b.o_aa, b.o_ab, b.o_bb
-    np.conjugate(b.o_ab.T, out=stack[2])
+    m, ne = det.basis_dim, det.n_electrons
     # The stack's order; the rows are the stored pairs aa, ab and bb (s <= t).
     pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
     weights = np.array([[u[s, i].conj() * u[t, j] for i, j in pairs] for s, t in pairs if s <= t])
-    mixed = _sealed(weights @ stack.reshape(4, ne * ne)).reshape(3, ne, ne)
-    ca0, cb0 = det.coeff_alpha, det.coeff_beta
-    ca = u[0, 0] * ca0
-    ca += u[0, 1] * cb0
-    cb = u[1, 0] * ca0
-    cb += u[1, 1] * cb0
-    return _derived(det, _sealed(ca), _sealed(cb), blocks=OverlapBlocks(*mixed))
+    mixed = _sealed(weights @ b._stack.reshape(4, ne * ne)).reshape(3, ne, ne)
+    coeffs = _sealed(u @ det._coeffs.reshape(2, m * ne)).reshape(2, m, ne)
+    return _derived(det, coeffs, OverlapBlocks(*mixed))
 
 
 def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:

@@ -28,10 +28,6 @@ import numpy as np
 from .determinant import OverlapBlocks, _real
 
 
-def _frobenius_sq(matrix: np.ndarray) -> float:
-    return float(np.vdot(matrix, matrix).real)
-
-
 @dataclass(frozen=True)
 class S2Decomposition:
     """The four additive contributions to <S^2> plus totals.
@@ -63,8 +59,7 @@ def expect_sz(blocks: OverlapBlocks) -> float:
 
 
 def _z_noncollinearity(blocks: OverlapBlocks) -> float:
-    ne = blocks.n_electrons
-    return 0.25 * (ne - _frobenius_sq(blocks.o_aa - blocks.o_bb))
+    return 0.25 * (blocks.n_electrons - blocks._d_norm_sq)
 
 
 def expect_sz2(blocks: OverlapBlocks) -> float:
@@ -75,7 +70,7 @@ def expect_sz2(blocks: OverlapBlocks) -> float:
 
 def _ladder_exchange(blocks: OverlapBlocks) -> float:
     """|tr o_ab|^2 - ||o_ab||_F^2, shared by <S-S+> and <S+S->."""
-    return abs(complex(np.trace(blocks.o_ab))) ** 2 - _frobenius_sq(blocks.o_ab)
+    return abs(complex(np.trace(blocks.o_ab))) ** 2 - blocks._x_norm_sq
 
 
 def expect_sminus_splus(blocks: OverlapBlocks) -> float:
@@ -115,7 +110,7 @@ def decompose_s2(blocks: OverlapBlocks) -> S2Decomposition:
     s = abs(n_alpha - n_beta) / 2.0
     rohf_term = s * (s + 1.0)
     z_noncol = _z_noncollinearity(blocks)
-    contamination = n_min - _frobenius_sq(blocks.o_ab)
+    contamination = n_min - blocks._x_norm_sq
     perpendicularity = abs(complex(np.trace(blocks.o_ab))) ** 2
     return S2Decomposition(
         s_effective=s,

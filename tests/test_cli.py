@@ -17,12 +17,14 @@ from spincol import (
     ParseError,
     ShapeError,
     SpinorDeterminant,
+    SpinRotation,
     build_overlap_blocks,
     gen_random_gchf,
     load_determinant,
     orthonormalize,
     parse_determinant,
     save_determinant,
+    su2_rotate,
 )
 from spincol.cli import run
 
@@ -366,6 +368,38 @@ def test_analyze_orthonormalize_flag(tmp_path, capsys):
     assert "NotOrthonormal" in capsys.readouterr().err
     assert run(["analyze", path, "--orthonormalize"]) == 0
     assert "<S^2>                +0.750000" in capsys.readouterr().out
+
+
+def test_orthonormalizing_nearly_dependent_spinors_names_the_gram_eigenvalue(tmp_path, capsys):
+    # The last spinor is the first plus 1e-4 noise: Gram lambda_min 4.2e-8, and the
+    # orthonormalized residual (about cond(G) eps) is 3.2e-8, above the 1e-8 gate.
+    rng = np.random.default_rng(0)
+    ca, cb = helpers.random_complex(rng, 6, 4), helpers.random_complex(rng, 6, 4)
+    ca[:, 3] = ca[:, 0] + 1e-4 * helpers.random_complex(rng, 6, 1)[:, 0]
+    cb[:, 3] = cb[:, 0] + 1e-4 * helpers.random_complex(rng, 6, 1)[:, 0]
+    path = tmp_path / "near_dependent.json"
+    save_determinant(SpinorDeterminant(6, 4, ca, cb), path)
+    for command in ("analyze", "axis"):
+        assert run([command, str(path), "--orthonormalize"]) == 1
+        err = capsys.readouterr().err
+        assert "NotOrthonormal" in err and "after orthonormalization" in err
+        assert "smallest eigenvalue is 4.199e-08" in err
+        assert "orthonormalize first" not in err
+
+
+def test_text_reports_print_rounded_zeros_without_a_sign(tmp_path, capsys):
+    # A tilted DODS is exactly collinear: A has a zero eigenvalue, and entries
+    # that are zero up to rounding come out with either sign.
+    det = su2_rotate(helpers.random_dods(20, 6, 4, seed=1), SpinRotation([0.6, 0.0, 0.8], 1.3))
+    path = tmp_path / "tilted_dods.json"
+    save_determinant(det, path)
+    assert run(["axis", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert -5e-7 < doc["col"] < 0.0
+    for argv in (["axis"], ["analyze", "--align-optimal"]):
+        assert run([argv[0], str(path), *argv[1:]]) == 0
+        out = capsys.readouterr().out
+        assert "+0.000000" in out and "-0.000000" not in out
 
 
 def test_axis_subcommand(tmp_path, capsys):

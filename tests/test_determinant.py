@@ -1,11 +1,15 @@
 """Determinant model: overlap blocks, occupation traces, orthonormalization."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import spincol.determinant
 from spincol import (
     DimensionMismatch,
     LinearlyDependent,
@@ -14,10 +18,17 @@ from spincol import (
     OverlapBlocks,
     SpincolError,
     SpinorDeterminant,
+    SpinRotation,
+    a_matrix,
+    analyze_collinearity,
     build_overlap_blocks,
+    decompose_s2,
     electron_counts,
+    expect_s2,
     gen_random_gchf,
     orthonormalize,
+    spin_vector,
+    su2_rotate,
     to_identity_metric,
 )
 
@@ -245,3 +256,114 @@ def test_hand_built_blocks_copy_a_writeable_array():
     o_aa[0, 0] += 1.0
     assert blocks.o_aa[0, 0] == good.o_aa[0, 0]
     blocks.validate()
+
+
+@pytest.mark.parametrize("ne", [1, 63, 64, 65, 200])
+def test_panel_hermiticity_residual_is_the_full_matrix_maximum(ne):
+    rng = np.random.default_rng(ne)
+    hermitian = helpers.random_complex(rng, ne, ne)
+    hermitian = hermitian + hermitian.conj().T
+    for block in (helpers.random_complex(rng, ne, ne), hermitian + 1e-13 * helpers.random_complex(rng, ne, ne)):
+        expected = np.max(np.abs(block - block.conj().T))
+        assert spincol.determinant._hermiticity_residual(block) == expected
+
+
+@pytest.mark.parametrize("where", [(0, 0), (3, 150), (150, 3), (199, 199)])
+def test_nan_in_a_hand_built_block_fails_validation(where):
+    # Python's max() drops a NaN that arrives after a number; the panel maximum must not.
+    good = build_overlap_blocks(gen_random_gchf(200, 200, seed=3))
+    o_aa = np.array(good.o_aa)
+    o_aa[where] = np.nan
+    tampered = OverlapBlocks(o_aa=o_aa, o_ab=good.o_ab, o_bb=good.o_bb)
+    with pytest.raises(NonHermitianResult, match="o_aa Hermiticity residual nan"):
+        tampered.validate()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_identity_deviation_is_the_full_matrix_maximum(seed):
+    raw = SpinorDeterminant(5, 3, *(helpers.random_complex(np.random.default_rng(seed), 5, 3) for _ in "ab"))
+    for det in (raw, orthonormalize(raw), helpers.random_metric_determinant(6, 4, seed)):
+        blocks = det._blocks
+        expected = np.max(np.abs(blocks.o_aa + blocks.o_bb - np.eye(det.n_electrons)))
+        assert det.orthonormality_residual() == expected
+
+
+REDUCTIONS = ("_d_norm_sq", "_x_norm_sq", "_x_trace_sq", "_x_dot_d")
+
+
+def test_each_block_reduction_is_computed_once_when_first_read(monkeypatch):
+    calls = {name: [] for name in REDUCTIONS}
+    for name in REDUCTIONS:
+        prop = OverlapBlocks.__dict__[name]
+
+        def counting(blocks, original=prop.func, seen=calls[name]):
+            seen.append(id(blocks))
+            return original(blocks)
+
+        monkeypatch.setattr(prop, "func", counting)
+    det = helpers.random_metric_determinant(5, 4, seed=11)
+    blocks = build_overlap_blocks(det)
+    decompose_s2(blocks)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "_d_norm_sq": 1, "_x_norm_sq": 1, "_x_trace_sq": 0, "_x_dot_d": 0
+    }
+    rotated = build_overlap_blocks(su2_rotate(det, SpinRotation([0.0, 0.6, 0.8], 1.1)))
+    for _ in range(3):
+        for b in (blocks, rotated):
+            decompose_s2(b)
+            expect_s2(b)
+            spin_vector(b)
+            a_matrix(b)
+            analyze_collinearity(b)
+    assert calls == {name: [id(blocks), id(rotated)] for name in REDUCTIONS}
+
+
+def test_determinant_blocks_are_views_of_one_stack():
+    blocks = build_overlap_blocks(helpers.random_metric_determinant(5, 4, seed=12))
+    stack = blocks._stack
+    assert stack.shape == (4, 4, 4) and not stack.flags.writeable
+    for k, name in enumerate(("o_aa", "o_ab", "o_ba", "o_bb")):
+        assert getattr(blocks, name).__array_interface__ == stack[k].__array_interface__
+    # o_ba is the exact conjugate transpose of o_ab, bit for bit.
+    assert blocks.o_ba.tobytes() == np.ascontiguousarray(blocks.o_ab.conj().T).tobytes()
+
+
+def test_constructor_copies_writeable_coefficients_into_one_buffer():
+    rng = np.random.default_rng(13)
+    ca, cb = helpers.random_complex(rng, 4, 3), helpers.random_complex(rng, 4, 3)
+    det = SpinorDeterminant(4, 3, ca, cb)
+    kept = det.coeff_alpha.copy(), det.coeff_beta.copy()
+    ca[0, 0] += 1.0
+    cb[...] = 0.0
+    assert np.array_equal(det.coeff_alpha, kept[0]) and np.array_equal(det.coeff_beta, kept[1])
+    stacked = det.stacked()
+    assert not stacked.flags.writeable
+    assert np.array_equal(stacked, np.vstack(kept))
+    assert np.shares_memory(stacked, det.coeff_alpha) and np.shares_memory(stacked, det.coeff_beta)
+
+
+def test_derived_determinants_share_their_buffer_without_a_copy():
+    det = helpers.random_metric_determinant(4, 3, seed=14)
+    for derived in (su2_rotate(det, SpinRotation([1.0, 0.0, 0.0], 0.7)), orthonormalize(det)):
+        ca, cb = derived.coeff_alpha, derived.coeff_beta
+        assert ca.base is cb.base and not ca.base.flags.writeable
+        assert np.shares_memory(derived.stacked(), ca)
+        again = SpinorDeterminant(4, 3, ca, cb)
+        assert again.coeff_alpha is not ca
+        assert again.coeff_alpha.__array_interface__ == ca.__array_interface__
+        assert again.coeff_beta.__array_interface__ == cb.__array_interface__
+        # Sealed views that are not alpha then beta of one buffer are copied.
+        for pair in ((cb, ca), (ca, det.coeff_beta)):
+            copied = SpinorDeterminant(4, 3, *pair)
+            assert not np.shares_memory(copied.stacked(), ca)
+
+
+def test_copied_and_unpickled_determinants_are_frozen_with_one_buffer():
+    det = helpers.random_metric_determinant(4, 3, seed=15)
+    for clone in (copy.copy(det), copy.deepcopy(det), pickle.loads(pickle.dumps(det))):
+        assert np.array_equal(clone.stacked(), det.stacked())
+        assert np.array_equal(clone.ao_overlap, det.ao_overlap)
+        for arr in (clone.coeff_alpha, clone.coeff_beta, clone.ao_overlap):
+            assert not arr.flags.writeable
+        assert np.shares_memory(clone.stacked(), clone.coeff_alpha)
+        assert np.shares_memory(clone.stacked(), clone.coeff_beta)

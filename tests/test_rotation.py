@@ -164,6 +164,33 @@ def test_seeded_rotated_blocks_match_direct(kind, with_metric, direction, seed):
         assert np.max(np.abs(getattr(seeded, name) - getattr(computed, name))) <= bound
 
 
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("ne", [1, 5, 70])
+def test_rotated_blocks_are_the_mixing_weights_times_the_block_stack(with_metric, ne):
+    # o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij over the stack [o_aa, o_ab, o_ab^H, o_bb], bit for bit.
+    rng = np.random.default_rng(400 + ne)
+    det = gen_random_gchf(40, ne, seed=ne)
+    if with_metric:
+        det = helpers.over_metric(det, helpers.random_pd_metric(rng, 40))
+    rot = SpinRotation(helpers.random_unit_vector(rng), rng.uniform(-4.0, 4.0))
+    b = build_overlap_blocks(det)
+    stack = np.stack([b.o_aa, b.o_ab, b.o_ab.conj().T, b.o_bb]).reshape(4, ne * ne)
+    u = rot.su2()
+    weights = np.array(
+        [
+            [u[0, 0].conj() * u[0, 0], u[0, 0].conj() * u[0, 1], u[0, 1].conj() * u[0, 0], u[0, 1].conj() * u[0, 1]],
+            [u[0, 0].conj() * u[1, 0], u[0, 0].conj() * u[1, 1], u[0, 1].conj() * u[1, 0], u[0, 1].conj() * u[1, 1]],
+            [u[1, 0].conj() * u[1, 0], u[1, 0].conj() * u[1, 1], u[1, 1].conj() * u[1, 0], u[1, 1].conj() * u[1, 1]],
+        ]
+    )
+    expected = (weights @ stack).reshape(3, ne, ne)
+    rotated = su2_rotate(det, rot)
+    blocks = build_overlap_blocks(rotated)
+    for k, name in enumerate(("o_aa", "o_ab", "o_bb")):
+        assert getattr(blocks, name).tobytes() == expected[k].tobytes(), name
+    assert np.array_equal(rotated.stacked(), (u @ det.stacked().reshape(2, -1)).reshape(80, ne))
+
+
 def test_rotated_blocks_and_coefficients_are_sealed():
     det = helpers.random_metric_determinant(4, 3, seed=12)
     rotated = align_to_axis(det, [0.6, 0.0, 0.8])
