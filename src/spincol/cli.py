@@ -9,8 +9,9 @@ gen            write a generated determinant (rhf, rohf, dods, random)
 paper-fixture  regression checks against the published H2O+ reference values
 
 Exit codes: 0 success, 1 validation or consistency failure, 2 usage error.
-Text reports print six decimals, and a value that rounds to zero prints as
-+0.000000 whatever its sign; JSON reports print full precision.
+Text reports print six decimals (``oracle-check`` twelve), and a value that
+rounds to zero prints with a + sign whatever its sign; JSON reports print
+full precision.
 """
 
 from __future__ import annotations
@@ -52,10 +53,15 @@ _CONSISTENCY_TOL = 1e-10
 _EIGEN_RESIDUAL_TOL = 1e-9
 
 
+def _signed(value: float, decimals: int) -> str:
+    """``value`` to ``decimals`` signed decimals; a value that rounds to zero prints with a + sign."""
+    text = f"{value:+.{decimals}f}"
+    return "+" + text[1:] if text.startswith("-") and float(text) == 0.0 else text
+
+
 def _f6(value: float) -> str:
     """``value`` to six signed decimals; a value that rounds to zero prints as +0.000000."""
-    text = f"{value:+.6f}"
-    return "+0.000000" if text == "-0.000000" else text
+    return _signed(value, 6)
 
 
 def _report_text(doc: dict) -> str:
@@ -219,9 +225,10 @@ def oracle_rows(det: SpinorDeterminant) -> list[tuple[str, complex, complex, flo
 
 def _fmt_value(z: complex, label: str) -> str:
     # <S+> is the only complex observable; the others are real up to rounding residue.
+    # A part that rounds to zero prints as +0.000000000000 whatever its sign.
     if label != "<S+>":
-        return f"{z.real:+.12f}"
-    return f"{z.real:+.12f}{z.imag:+.12f}i"
+        return _signed(z.real, 12)
+    return f"{_signed(z.real, 12)}{_signed(z.imag, 12)}i"
 
 
 def _cmd_analyze(args) -> int:

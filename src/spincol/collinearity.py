@@ -96,16 +96,11 @@ def spin_vector(blocks: OverlapBlocks) -> SpinVector:
 def a_matrix(blocks: OverlapBlocks) -> np.ndarray:
     """Real symmetric 3x3 spin covariance matrix A with col(u) = u^T A u.
 
-    Computed from the four block reductions of the module docstring, which
-    the blocks object caches; each off-diagonal entry is computed once, so A
-    is exactly symmetric.
+    The Gram matrix G comes from the four block reductions of the module
+    docstring, which the blocks object caches; each off-diagonal entry is
+    computed once, so A is exactly symmetric.
     """
-    x_sq, tau, x_d = blocks._x_norm_sq, blocks._x_trace_sq, blocks._x_dot_d
-    g_xx, g_yy = 0.5 * (x_sq + tau.real), 0.5 * (x_sq - tau.real)
-    g_zz = 0.25 * blocks._d_norm_sq
-    g_xy, g_xz, g_yz = 0.5 * tau.imag, 0.5 * x_d.real, -0.5 * x_d.imag
-    gram = np.array([[g_xx, g_xy, g_xz], [g_xy, g_yy, g_yz], [g_xz, g_yz, g_zz]])
-    return np.eye(3) * (blocks.n_electrons / 4.0) - gram
+    return np.eye(3) * (blocks.n_electrons / 4.0) - blocks._compression_gram()
 
 
 def _check_unit(u) -> np.ndarray:

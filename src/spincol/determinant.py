@@ -17,7 +17,10 @@ as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
 :func:`build_overlap_blocks` and :func:`orthonormalize`.  A determinant
 derived from another (rotated or orthonormalized) shares its parent's
 validated metric and derives its blocks from the parent's, so the metric is
-applied once per input determinant.
+applied once per input determinant.  A rotation costs O(M·Ne) for the
+coefficients plus O(1) for every spin quantity, which its blocks take from
+the parent's <S> and compression Gram matrix; their arrays are mixed from
+the parent's only when first read.
 """
 
 from __future__ import annotations
@@ -111,6 +114,15 @@ def _sealed_stack(stack: np.ndarray) -> np.ndarray:
     """``stack`` sealed, after writing o_ab^H (the conjugate transpose of slot 1) into slot 2."""
     np.conjugate(stack[1].T, out=stack[2])
     return _sealed(stack)
+
+
+# The stack's slots; the mixing weights' rows are the stored pairs aa, ab and bb (s <= t).
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _mixing_weights(u: np.ndarray) -> np.ndarray:
+    """The 3x4 matrix conj(u[s, i]) u[t, j] that mixes the stack into the blocks rotated by ``u``."""
+    return np.array([[u[s, i].conj() * u[t, j] for i, j in _PAIRS] for s, t in _PAIRS if s <= t])
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -233,60 +245,126 @@ class SpinorDeterminant:
         return self._blocks._identity_deviation
 
 
-@dataclass(frozen=True)
 class OverlapBlocks:
     """The Ne x Ne spinor-component overlap matrices o_aa, o_ab and o_bb.
 
     ``o_aa`` and ``o_bb`` are Hermitian, ``o_ba`` is the conjugate transpose
     of ``o_ab``, and for an orthonormal determinant ``o_aa + o_bb`` is the
-    identity.  Each block is held as a read-only view that cannot be made
-    writeable; an array that is not one already is copied first.
-    :func:`build_overlap_blocks` returns the determinant's own blocks,
-    validated.
+    identity.  :func:`build_overlap_blocks` returns the determinant's own
+    blocks, validated.  A blocks object is immutable.
 
-    A determinant's blocks are views of one frozen (4, Ne, Ne) stack
-    [o_aa, o_ab, o_ba, o_bb], the operand of the SU(2) mixing GEMM; any other
-    blocks object copies itself into such a stack on first use.  The
-    O(Ne²) reductions every spin formula reads (with X = o_ab and
-    D = o_aa - o_bb: ||D||², ||X||², tr(X X) and <X, D>) are scalars,
-    each computed at most once, when first read.
+    The blocks are read-only views of one frozen (4, Ne, Ne) stack
+    [o_aa, o_ab, o_ba, o_bb], the operand of the SU(2) mixing GEMM.  A
+    determinant's blocks are computed into such a stack; blocks built by
+    hand are copied into one (so a caller's writeable array stays its own).
+    What the spin formulas read are O(1) scalars, each computed at most once,
+    when first read: the three traces tr o_aa, tr o_ab and tr o_bb, and, with
+    X = o_ab and D = o_aa - o_bb, the four reductions ||D||², ||X||², tr(X X)
+    and <X, D>.
+
+    Blocks of a rotated determinant (:meth:`_rotated`) get every one of
+    those scalars, and both gate values, from the parent's in O(1); their
+    stack is mixed, from the stack of the first determinant in their chain
+    of rotations, only when first read.
     """
 
-    o_aa: np.ndarray
-    o_ab: np.ndarray
-    o_bb: np.ndarray
+    def __init__(self, o_aa, o_ab, o_bb):
+        blocks = [np.asarray(block) for block in (o_aa, o_ab, o_bb)]
+        ne = blocks[0].shape[0]
+        for name, block in zip(("o_aa", "o_ab", "o_bb"), blocks):
+            if block.shape != (ne, ne):
+                raise DimensionMismatch(f"{name} must be {ne}x{ne}")
+        stack = np.empty((4, ne, ne), dtype=np.complex128)
+        stack[0], stack[1], stack[3] = blocks
+        self.__dict__.update(n_electrons=ne, _stack=_sealed_stack(stack))
 
-    def __post_init__(self):
-        for name in ("o_aa", "o_ab", "o_bb"):
-            block = getattr(self, name)
-            # A view of a frozen array cannot be made writeable, so it is kept as is.
-            if not _is_sealed(block):
-                object.__setattr__(self, name, _sealed(np.array(block, dtype=np.complex128)))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"OverlapBlocks is immutable; cannot set {name!r}")
 
     @classmethod
     def _of_stack(cls, stack: np.ndarray) -> OverlapBlocks:
         """Blocks that are views of ``stack`` (o_aa, o_ab and o_bb in slots 0, 1 and 3), which they keep."""
-        stack = _sealed_stack(stack)
-        blocks = cls(stack[0], stack[1], stack[3])
-        blocks.__dict__["_stack"] = stack
+        blocks = cls.__new__(cls)
+        blocks.__dict__.update(n_electrons=stack.shape[1], _stack=_sealed_stack(stack))
         return blocks
 
     @functools.cached_property
     def _stack(self) -> np.ndarray:
-        """[o_aa, o_ab, o_ba, o_bb] as one frozen (4, Ne, Ne) array."""
+        """[o_aa, o_ab, o_ba, o_bb] as one frozen (4, Ne, Ne) array.
+
+        Only rotated blocks compute it here, by one 3x4 mixing GEMM over the
+        stack of the blocks at the root of their chain of rotations; every
+        other blocks object is given its stack when it is made.  The stack is
+        stored before the pending rotation is dropped, so a second thread
+        that gets here finds one or the other, and every thread returns the
+        stack stored first.
+        """
+        pending = self.__dict__.get("_mixing")
+        if pending is None:
+            return self.__dict__["_stack"]
+        u, root = pending
         ne = self.n_electrons
+        mixed = _mixing_weights(u) @ root._stack.reshape(4, ne * ne)
         stack = np.empty((4, ne, ne), dtype=np.complex128)
-        stack[0], stack[1], stack[3] = self.o_aa, self.o_ab, self.o_bb
-        return _sealed_stack(stack)
+        stack[0], stack[1], stack[3] = mixed.reshape(3, ne, ne)
+        stack = self.__dict__.setdefault("_stack", _sealed_stack(stack))
+        self.__dict__.pop("_mixing", None)
+        return stack
 
-    @property
-    def o_ba(self) -> np.ndarray:
-        """o_ab^H, slot 2 of the stack."""
-        return self._stack[2]
+    o_aa = property(lambda self: self._stack[0], doc="<phi_i^alpha | phi_j^alpha>, slot 0 of the stack.")
+    o_ab = property(lambda self: self._stack[1], doc="<phi_i^alpha | phi_j^beta>, slot 1 of the stack.")
+    o_ba = property(lambda self: self._stack[2], doc="o_ab^H, slot 2 of the stack.")
+    o_bb = property(lambda self: self._stack[3], doc="<phi_i^beta | phi_j^beta>, slot 3 of the stack.")
 
-    @property
-    def n_electrons(self) -> int:
-        return self.o_aa.shape[0]
+    def _rotated(self, u: np.ndarray, r: np.ndarray) -> OverlapBlocks:
+        """The blocks after every spinor is rotated by the SU(2) matrix ``u``, whose SO(3) image is ``r``.
+
+        With s, t in {alpha, beta} they are o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij,
+        one 3x4 mixing GEMM over this stack, which waits until they are read.
+        If this object is itself a pending rotation by u_0 of a root's blocks,
+        the new one is the rotation by u u_0 of that root, so reading the last
+        blocks of any chain of rotations takes one GEMM.  Every scalar is
+        seeded in O(1) instead:
+
+        - the compression Gram matrix (see :meth:`_compression_gram`) becomes
+          G' = r G r^T, and gives ||D'||² = 4 G'_zz, ||X'||² = G'_xx + G'_yy,
+          tr(X' X') = G'_xx - G'_yy + 2i G'_xy and <X', D'> = 2 G'_xz - 2i G'_yz;
+        - s = (Re tr X, Im tr X, (tr o_aa - tr o_bb) / 2), which is <S>, becomes
+          s' = r s, and with n = tr(o_aa + o_bb) the traces are n/2 + s'_z,
+          s'_x + i s'_y and n/2 - s'_z;
+        - o'_aa + o'_bb = sum_ij (u^H u)_ij o_ij = o_aa + o_bb, so the
+          deviation from the identity is this object's;
+        - since o_ba is exactly o_ab^H, o'_ss - o'_ss^H is
+          |u[s, 0]|² (o_aa - o_aa^H) + |u[s, 1]|² (o_bb - o_bb^H), so each
+          Hermiticity residual is at most |u[s, 0]|² r_aa + |u[s, 1]|² r_bb,
+          the value the rotated blocks check.
+
+        A non-finite value among this object's scalars (an overflowed Gram
+        matrix) carries through as NaN or infinity, so the gates still fail.
+        """
+        pending = self.__dict__.get("_mixing")
+        mixing = (u, self) if pending is None else (u @ pending[0], pending[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_aa, t_ab, t_bb = self._traces
+            sx, sy, sz = r @ np.array([t_ab.real, t_ab.imag, ((t_aa - t_bb) / 2.0).real])
+            half_n = (t_aa + t_bb) / 2.0
+            g = r @ self._compression_gram() @ r.T
+            r_aa, r_bb = self._hermiticity_residuals["o_aa"], self._hermiticity_residuals["o_bb"]
+            w = np.abs(u) ** 2
+            residuals = {name: float(w[s, 0] * r_aa + w[s, 1] * r_bb) for s, name in enumerate(("o_aa", "o_bb"))}
+        rotated = OverlapBlocks.__new__(OverlapBlocks)
+        rotated.__dict__.update(
+            n_electrons=self.n_electrons,
+            _mixing=mixing,
+            _traces=(half_n + sz, complex(sx, sy), half_n - sz),
+            _d_norm_sq=float(4.0 * g[2, 2]),
+            _x_norm_sq=float(g[0, 0] + g[1, 1]),
+            _x_trace_sq=complex(g[0, 0] - g[1, 1], 2.0 * g[0, 1]),
+            _x_dot_d=complex(2.0 * g[0, 2], -2.0 * g[1, 2]),
+            _identity_deviation=self._identity_deviation,
+            _hermiticity_residuals=residuals,
+        )
+        return rotated
 
     def _gram(self) -> np.ndarray:
         """Gram matrix of the spinors under the metric, o_aa + o_bb."""
@@ -304,6 +382,11 @@ class OverlapBlocks:
     def _hermiticity_residuals(self) -> dict[str, float]:
         """max|o - o^H| of o_aa and o_bb, computed once and checked by every :meth:`validate`."""
         return {name: _hermiticity_residual(getattr(self, name)) for name in ("o_aa", "o_bb")}
+
+    @functools.cached_property
+    def _traces(self) -> tuple[complex, complex, complex]:
+        """tr o_aa, tr o_ab and tr o_bb."""
+        return np.trace(self.o_aa), np.trace(self.o_ab), np.trace(self.o_bb)
 
     @functools.cached_property
     def _d_norm_sq(self) -> float:
@@ -326,11 +409,24 @@ class OverlapBlocks:
         """<o_ab, o_aa - o_bb> = sum_ij conj(o_ab[i, j]) (o_aa - o_bb)[i, j]."""
         return complex(np.vdot(self.o_ab, self.o_aa - self.o_bb))
 
+    def _compression_gram(self) -> np.ndarray:
+        """G[mu, nu] = Re tr(T_mu T_nu) of the spin compressions, from the four reductions.
+
+        See :mod:`spincol.collinearity` for the formula; each off-diagonal
+        entry is computed once, so G is exactly symmetric.
+        """
+        x_sq, tau, x_d = self._x_norm_sq, self._x_trace_sq, self._x_dot_d
+        g_xx, g_yy = 0.5 * (x_sq + tau.real), 0.5 * (x_sq - tau.real)
+        g_zz = 0.25 * self._d_norm_sq
+        g_xy, g_xz, g_yz = 0.5 * tau.imag, 0.5 * x_d.real, -0.5 * x_d.imag
+        return np.array([[g_xx, g_xy, g_xz], [g_xy, g_yy, g_yz], [g_xz, g_yz, g_zz]])
+
     def validate(self) -> None:
-        ne = self.n_electrons
-        for name in ("o_aa", "o_ab", "o_bb"):
-            if getattr(self, name).shape != (ne, ne):
-                raise DimensionMismatch(f"{name} must be {ne}x{ne}")
+        """Check both Hermiticity residuals and the deviation from the identity.
+
+        Every blocks object is square by construction; a rotated one checks
+        the values it was seeded with, so its arrays are not mixed here.
+        """
         for name, residual in self._hermiticity_residuals.items():
             check_within(
                 residual, HERMITICITY_TOL, f"{name} Hermiticity residual", NonHermitianResult
@@ -368,7 +464,8 @@ def electron_counts(blocks: OverlapBlocks) -> tuple[float, float]:
     Both are generally non-integer for a spin-mixed determinant; their sum is
     the (integer) electron count.
     """
-    return _real(np.trace(blocks.o_aa), "N_alpha"), _real(np.trace(blocks.o_bb), "N_beta")
+    t_aa, _, t_bb = blocks._traces
+    return _real(t_aa, "N_alpha"), _real(t_bb, "N_beta")
 
 
 def _inverse_sqrt(gram: np.ndarray) -> tuple[np.ndarray, float]:

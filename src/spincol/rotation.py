@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collinearity import _check_unit
-from .determinant import OverlapBlocks, SpinorDeterminant, _derived, _sealed, lowdin_orthonormalize
+from .determinant import SpinorDeterminant, _derived, _sealed, lowdin_orthonormalize
 from .errors import DimensionMismatch
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -56,23 +56,20 @@ def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
     """Apply the same SU(2) matrix to the (alpha, beta) pair of every spinor.
 
     The coefficients are rotated by one GEMM, u times the (2, M·Ne) view of
-    the coefficient buffer.  The rotated determinant shares ``det``'s metric
-    array, so it is not validated again, and receives its overlap blocks in
-    O(Ne²): with s, t in {alpha, beta} they are
-    o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij, where o_ba = o_ab^H.  The three
-    stored blocks come from one mixing GEMM, a 3 x 4 weight matrix times the
-    (4, Ne²) view of the stack [o_aa, o_ab, o_ba, o_bb], so no block is
-    copied and no metric application or block GEMM is repeated.
+    the coefficient buffer, in O(M·Ne).  The rotated determinant shares
+    ``det``'s metric array, so it is not validated again, and its overlap
+    blocks are derived from ``det``'s: every spin quantity and both gate
+    values in O(1), from the parent's <S>, compression Gram matrix and gate
+    values mapped by ``rot.so3()``, and the block arrays by one 3x4 mixing
+    GEMM over the block stack of the parent (or, if the parent's blocks are
+    still pending, of the root of the chain of rotations), run only when
+    they are first read (see :meth:`OverlapBlocks._rotated`).  No metric
+    application or block GEMM is repeated.
     """
     u = rot.su2()
-    b = det._blocks
     m, ne = det.basis_dim, det.n_electrons
-    # The stack's order; the rows are the stored pairs aa, ab and bb (s <= t).
-    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
-    weights = np.array([[u[s, i].conj() * u[t, j] for i, j in pairs] for s, t in pairs if s <= t])
-    mixed = _sealed(weights @ b._stack.reshape(4, ne * ne)).reshape(3, ne, ne)
     coeffs = _sealed(u @ det._coeffs.reshape(2, m * ne)).reshape(2, m, ne)
-    return _derived(det, coeffs, OverlapBlocks(*mixed))
+    return _derived(det, coeffs, det._blocks._rotated(u, rot.so3()))
 
 
 def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:

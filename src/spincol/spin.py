@@ -1,8 +1,8 @@
 """Spin expectation values and the four-term decomposition of <S^2>.
 
 For a single determinant of orthonormal two-component spinors every spin
-expectation reduces to traces and Frobenius norms of the stored overlap
-blocks o_aa, o_ab and o_bb:
+expectation reduces to traces and Frobenius norms of the overlap blocks
+o_aa, o_ab and o_bb, scalars the blocks object caches:
 
     <Sz>     = (N_alpha - N_beta) / 2
     <Sz^2>   = <Sz>^2 + (Ne - ||o_aa - o_bb||_F^2) / 4
@@ -22,8 +22,6 @@ terms.  hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .determinant import OverlapBlocks, _real
 
@@ -55,7 +53,8 @@ class S2Decomposition:
 
 def expect_sz(blocks: OverlapBlocks) -> float:
     """<Sz> = (N_alpha - N_beta) / 2."""
-    return _real((np.trace(blocks.o_aa) - np.trace(blocks.o_bb)) / 2.0, "<Sz>")
+    t_aa, _, t_bb = blocks._traces
+    return _real((t_aa - t_bb) / 2.0, "<Sz>")
 
 
 def _z_noncollinearity(blocks: OverlapBlocks) -> float:
@@ -70,17 +69,17 @@ def expect_sz2(blocks: OverlapBlocks) -> float:
 
 def _ladder_exchange(blocks: OverlapBlocks) -> float:
     """|tr o_ab|^2 - ||o_ab||_F^2, shared by <S-S+> and <S+S->."""
-    return abs(complex(np.trace(blocks.o_ab))) ** 2 - blocks._x_norm_sq
+    return abs(complex(blocks._traces[1])) ** 2 - blocks._x_norm_sq
 
 
 def expect_sminus_splus(blocks: OverlapBlocks) -> float:
     """<S-S+>, the squared norm of S+ applied to the determinant."""
-    return _real(np.trace(blocks.o_bb) + _ladder_exchange(blocks), "<S-S+>")
+    return _real(blocks._traces[2] + _ladder_exchange(blocks), "<S-S+>")
 
 
 def expect_splus_sminus(blocks: OverlapBlocks) -> float:
     """<S+S->, the squared norm of S- applied to the determinant."""
-    return _real(np.trace(blocks.o_aa) + _ladder_exchange(blocks), "<S+S->")
+    return _real(blocks._traces[0] + _ladder_exchange(blocks), "<S+S->")
 
 
 def expect_splus(blocks: OverlapBlocks) -> complex:
@@ -89,7 +88,7 @@ def expect_splus(blocks: OverlapBlocks) -> complex:
     Its real and imaginary parts are <Sx> and <Sy>, and its squared modulus
     is the xy-perpendicularity contribution to <S^2>.
     """
-    return complex(np.trace(blocks.o_ab))
+    return complex(blocks._traces[1])
 
 
 def expect_s2(blocks: OverlapBlocks) -> float:
@@ -104,14 +103,15 @@ def decompose_s2(blocks: OverlapBlocks) -> S2Decomposition:
     decomposition stays well defined when N_beta exceeds N_alpha; all four
     terms are invariant under the swap.
     """
-    n_alpha = _real(np.trace(blocks.o_aa), "N_alpha")
-    n_beta = _real(np.trace(blocks.o_bb), "N_beta")
+    t_aa, t_ab, t_bb = blocks._traces
+    n_alpha = _real(t_aa, "N_alpha")
+    n_beta = _real(t_bb, "N_beta")
     n_min = min(n_alpha, n_beta)
     s = abs(n_alpha - n_beta) / 2.0
     rohf_term = s * (s + 1.0)
     z_noncol = _z_noncollinearity(blocks)
     contamination = n_min - blocks._x_norm_sq
-    perpendicularity = abs(complex(np.trace(blocks.o_ab))) ** 2
+    perpendicularity = abs(complex(t_ab)) ** 2
     return S2Decomposition(
         s_effective=s,
         rohf_term=rohf_term,

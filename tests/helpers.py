@@ -2,7 +2,11 @@
 
 import numpy as np
 
-from spincol import SpinorDeterminant, gen_dods, gen_rhf, gen_rohf, orthonormalize
+from spincol import OverlapBlocks, SpinorDeterminant, gen_dods, gen_rhf, gen_rohf, orthonormalize
+
+EPS = np.finfo(float).eps
+# Every scalar a rotation seeds from the parent's, besides the Hermiticity residual bounds.
+SEEDED = ("_d_norm_sq", "_x_norm_sq", "_x_trace_sq", "_x_dot_d", "_traces", "_identity_deviation")
 
 
 def random_complex(rng, rows, cols):
@@ -67,3 +71,20 @@ def pure_beta_one_electron():
 def x_polarized_one_electron():
     r = 1.0 / np.sqrt(2.0)
     return SpinorDeterminant(1, 1, [[r]], [[r]])
+
+
+def check_seeded_against_arrays(blocks):
+    """Every scalar a rotation seeded on ``blocks`` is within rounding of the value its mixed arrays give.
+
+    Reading the arrays mixes them; the seeded values stay cached.  Values may
+    differ by 16·Ne·eps·Ne, and each Hermiticity bound must cover the measured
+    residual to within Ne·eps.
+    """
+    seeded = {name: blocks.__dict__[name] for name in (*SEEDED, "_hermiticity_residuals")}
+    ne = blocks.n_electrons
+    for name in SEEDED:
+        recomputed = OverlapBlocks.__dict__[name].func(blocks)
+        assert np.max(np.abs(np.subtract(seeded[name], recomputed))) <= 16 * ne * EPS * ne, name
+    measured = OverlapBlocks.__dict__["_hermiticity_residuals"].func(blocks)
+    for name, residual in measured.items():
+        assert seeded["_hermiticity_residuals"][name] >= residual - ne * EPS, name

@@ -19,6 +19,7 @@ from spincol import (
     SpinorDeterminant,
     SpinRotation,
     build_overlap_blocks,
+    expect_s2,
     gen_random_gchf,
     load_determinant,
     orthonormalize,
@@ -433,6 +434,17 @@ def test_oracle_check_prints_imaginary_parts_only_for_splus(tmp_path, capsys):
         values = [line.split("formula ")[1].split()[0], line.split("oracle ")[1].split()[0]]
         complex_valued = line.startswith("<S+> ")
         assert all(v.endswith("i") == complex_valued for v in values), line
+
+
+def test_oracle_check_prints_rounded_zeros_with_a_plus_sign(tmp_path, capsys):
+    # A closed-shell determinant's <S^2> is zero up to rounding, here a negative residue.
+    path = _gen_file(tmp_path, capsys, kind="rhf", m=3, ne=4, seed=1)
+    assert expect_s2(build_overlap_blocks(load_determinant(path))) < 0.0
+    assert run(["oracle-check", path]) == 0
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    s2 = next(line for line in rows if line.startswith("<S^2> "))
+    assert s2.split("formula ")[1].split()[0] == "+0.000000000000"
+    assert not any("-0.000000000000" in line for line in rows)
 
 
 def test_oracle_check_too_large_fails(tmp_path, capsys):

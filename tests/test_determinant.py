@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from spincol import (
     SpinorDeterminant,
     SpinRotation,
     a_matrix,
+    align_to_axis,
     analyze_collinearity,
     build_overlap_blocks,
     decompose_s2,
@@ -31,6 +34,7 @@ from spincol import (
     su2_rotate,
     to_identity_metric,
 )
+from spincol.cli import oracle_rows
 
 
 def test_blocks_pure_alpha():
@@ -258,6 +262,14 @@ def test_hand_built_blocks_copy_a_writeable_array():
     blocks.validate()
 
 
+def test_hand_built_blocks_of_the_wrong_shape_are_rejected():
+    good = build_overlap_blocks(gen_random_gchf(2, 2, seed=1))
+    with pytest.raises(DimensionMismatch, match="o_ab must be 2x2"):
+        OverlapBlocks(o_aa=good.o_aa, o_ab=good.o_ab[:, :1], o_bb=good.o_bb)
+    with pytest.raises(DimensionMismatch, match="o_aa must be 2x2"):
+        OverlapBlocks(o_aa=good.o_aa[:, :1], o_ab=good.o_ab, o_bb=good.o_bb)
+
+
 @pytest.mark.parametrize("ne", [1, 63, 64, 65, 200])
 def test_panel_hermiticity_residual_is_the_full_matrix_maximum(ne):
     rng = np.random.default_rng(ne)
@@ -289,11 +301,14 @@ def test_identity_deviation_is_the_full_matrix_maximum(seed):
 
 
 REDUCTIONS = ("_d_norm_sq", "_x_norm_sq", "_x_trace_sq", "_x_dot_d")
+SEEDED = (*helpers.SEEDED, "_hermiticity_residuals")
+EPS = helpers.EPS
 
 
-def test_each_block_reduction_is_computed_once_when_first_read(monkeypatch):
-    calls = {name: [] for name in REDUCTIONS}
-    for name in REDUCTIONS:
+def _count_computations(monkeypatch, names):
+    """Record, per cached property in ``names``, the id of every blocks object it is computed for."""
+    calls = {name: [] for name in names}
+    for name in names:
         prop = OverlapBlocks.__dict__[name]
 
         def counting(blocks, original=prop.func, seen=calls[name]):
@@ -301,21 +316,161 @@ def test_each_block_reduction_is_computed_once_when_first_read(monkeypatch):
             return original(blocks)
 
         monkeypatch.setattr(prop, "func", counting)
+    return calls
+
+
+def _run_every_formula(*all_blocks):
+    for _ in range(3):
+        for b in all_blocks:
+            decompose_s2(b)
+            expect_s2(b)
+            spin_vector(b)
+            a_matrix(b)
+            analyze_collinearity(b)
+            electron_counts(b)
+
+
+def test_each_block_reduction_is_computed_once_when_first_read(monkeypatch):
+    calls = _count_computations(monkeypatch, REDUCTIONS)
     det = helpers.random_metric_determinant(5, 4, seed=11)
     blocks = build_overlap_blocks(det)
     decompose_s2(blocks)
     assert {name: len(seen) for name, seen in calls.items()} == {
         "_d_norm_sq": 1, "_x_norm_sq": 1, "_x_trace_sq": 0, "_x_dot_d": 0
     }
+    _run_every_formula(blocks)
+    assert calls == {name: [id(blocks)] for name in REDUCTIONS}
+
+
+def test_rotated_blocks_compute_no_scalar_from_arrays(monkeypatch):
+    # A rotation seeds every scalar from the parent's; none is computed from the rotated arrays,
+    # and each seeded value is within rounding of the one the materialized arrays give.
+    calls = _count_computations(monkeypatch, SEEDED)
+    det = helpers.random_metric_determinant(7, 5, seed=11)
+    blocks = build_overlap_blocks(det)
     rotated = build_overlap_blocks(su2_rotate(det, SpinRotation([0.0, 0.6, 0.8], 1.1)))
-    for _ in range(3):
-        for b in (blocks, rotated):
-            decompose_s2(b)
-            expect_s2(b)
-            spin_vector(b)
-            a_matrix(b)
-            analyze_collinearity(b)
-    assert calls == {name: [id(blocks), id(rotated)] for name in REDUCTIONS}
+    _run_every_formula(blocks, rotated)
+    assert calls == {name: [id(blocks)] for name in SEEDED}
+    helpers.check_seeded_against_arrays(rotated)
+
+
+def test_rotated_blocks_are_not_mixed_along_the_analysis_path():
+    # The analyze-large op: the tilted determinant's blocks are validated and decomposed
+    # from seeded scalars, so the 3x4 mixing GEMM never runs and no stack is held.
+    det = helpers.random_metric_determinant(8, 6, seed=16)
+    blocks = build_overlap_blocks(det)
+    decompose_s2(blocks)
+    tilted = align_to_axis(det, analyze_collinearity(blocks).optimal_axis)
+    rotated = build_overlap_blocks(tilted)
+    decompose_s2(rotated)
+    assert "_stack" not in rotated.__dict__ and "_mixing" in rotated.__dict__
+    # The first read of a block runs the GEMM once and lets go of the parent.
+    assert rotated.o_aa.shape == (6, 6)
+    assert "_stack" in rotated.__dict__ and "_mixing" not in rotated.__dict__
+
+
+def test_a_reader_that_missed_the_stored_stack_returns_it():
+    # Two threads reading a pending block both run the stack's getter (no lock on Python 3.12).
+    det = helpers.random_metric_determinant(6, 5, seed=18)
+    mix = OverlapBlocks.__dict__["_stack"].func
+    rotated = build_overlap_blocks(align_to_axis(det, [0.6, 0.0, 0.8]))
+    pending = rotated.__dict__["_mixing"]
+    first = mix(rotated)
+    # One that starts after the other dropped the pending rotation...
+    assert "_mixing" not in rotated.__dict__ and mix(rotated) is first
+    # ... and one that read it before, then mixed its own copy.
+    rotated.__dict__["_mixing"] = pending
+    assert mix(rotated) is first and "_mixing" not in rotated.__dict__
+    assert rotated.o_aa.base is first.base
+
+
+def test_threads_reading_one_pending_block_share_its_stack():
+    det = gen_random_gchf(120, 200, seed=19)
+    rotated = build_overlap_blocks(align_to_axis(det, [0.48, 0.6, 0.64]))
+    barrier, seen, errors = threading.Barrier(4), [], []
+
+    def read():
+        barrier.wait()
+        try:
+            seen.append(rotated.o_aa)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert all(np.array_equal(o_aa, rotated.o_aa) for o_aa in seen)
+
+
+def test_a_long_chain_of_rotations_is_mixed_by_one_gemm():
+    # Each rotation of pending blocks composes its SU(2) matrix with the pending one, so
+    # the last blocks of the chain are mixed straight from the first determinant's stack.
+    rng = np.random.default_rng(20)
+    det = helpers.random_metric_determinant(5, 4, seed=20)
+    rotated = det
+    for _ in range(1500):
+        rotated = su2_rotate(rotated, SpinRotation(helpers.random_unit_vector(rng), rng.uniform(-4.0, 4.0)))
+    blocks = rotated._blocks
+    assert blocks.__dict__["_mixing"][1] is det._blocks
+    fresh = SpinorDeterminant(5, 4, rotated.coeff_alpha, rotated.coeff_beta, np.array(det.ao_overlap))
+    for name in ("o_aa", "o_ab", "o_ba", "o_bb"):
+        assert np.max(np.abs(getattr(blocks, name) - getattr(fresh._blocks, name))) <= 1e-11, name
+
+
+@pytest.mark.parametrize("tampered", ["o_aa", "o_bb"])
+def test_rotating_a_non_hermitian_parent_still_fails_validation(tampered):
+    det = gen_random_gchf(4, 3, seed=2)
+    good = det._blocks
+    parts = {"o_aa": good.o_aa, "o_ab": good.o_ab, "o_bb": good.o_bb}
+    parts[tampered] = parts[tampered] + np.diag([1e-11j, 0.0, 0.0])
+    det.__dict__["_blocks"] = OverlapBlocks(**parts)
+    for u in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.48, 0.6, 0.64]):
+        rotated = align_to_axis(det, u)
+        with pytest.raises(NonHermitianResult, match="Hermiticity residual"):
+            build_overlap_blocks(rotated)
+        # Each seeded bound covers the residual of the mixed arrays, which fail the same gate.
+        blocks = rotated._blocks
+        mixed = OverlapBlocks(blocks.o_aa, blocks.o_ab, blocks.o_bb)
+        for name, residual in mixed._hermiticity_residuals.items():
+            assert blocks._hermiticity_residuals[name] >= residual - 3 * EPS, (u, name)
+        with pytest.raises(NonHermitianResult, match="Hermiticity residual"):
+            mixed.validate()
+
+
+def test_rotating_an_overflowing_parent_still_fails_orthonormality():
+    big = 1e200
+    coeff_alpha = np.array([[big, big], [big * (1 + 1j), -big * (1 + 1j)]])
+    det = SpinorDeterminant(2, 2, coeff_alpha, np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8]):
+            with pytest.raises(NotOrthonormal, match="nan"):
+                build_overlap_blocks(align_to_axis(det, u))
+
+
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+def test_orthonormalize_and_oracle_rows_of_a_rotated_determinant_match_a_fresh_copy(with_metric):
+    det = gen_random_gchf(4, 3, seed=17)
+    if with_metric:
+        det = helpers.over_metric(det, helpers.random_pd_metric(np.random.default_rng(17), 4))
+    rotated = align_to_axis(det, [0.48, 0.6, 0.64])
+    metric = None if det.ao_overlap is None else np.array(det.ao_overlap)
+    fresh = SpinorDeterminant(4, 3, np.array(rotated.coeff_alpha), np.array(rotated.coeff_beta), metric)
+    # oracle_rows reads only seeded scalars; orthonormalize reads the arrays and mixes them.
+    rows, fresh_rows = oracle_rows(rotated), oracle_rows(fresh)
+    assert "_stack" not in rotated._blocks.__dict__
+    for (label, formula, oracle, _), (_, want, want_oracle, _) in zip(rows, fresh_rows):
+        assert abs(formula - want) <= 1e-12, label
+        assert oracle == want_oracle, label
+    ortho, fresh_ortho = orthonormalize(rotated), orthonormalize(fresh)
+    assert "_stack" in rotated._blocks.__dict__
+    assert np.max(np.abs(ortho.stacked() - fresh_ortho.stacked())) <= 1e-12
+    b, fresh_b = build_overlap_blocks(ortho), build_overlap_blocks(fresh_ortho)
+    for name in ("o_aa", "o_ab", "o_ba", "o_bb"):
+        assert np.max(np.abs(getattr(b, name) - getattr(fresh_b, name))) <= 1e-12, name
 
 
 def test_determinant_blocks_are_views_of_one_stack():

@@ -131,6 +131,8 @@ DIRECTIONS = {
     "near -z": (0.0, np.sin(TILT), -np.cos(TILT)),
     "+z": (0.0, 0.0, 1.0),
     "-z": (0.0, 0.0, -1.0),
+    "x": (1.0, 0.0, 0.0),
+    "xy-plane": (0.6, -0.8, 0.0),
 }
 
 
@@ -159,9 +161,31 @@ def test_seeded_rotated_blocks_match_direct(kind, with_metric, direction, seed):
         None if det.ao_overlap is None else np.array(det.ao_overlap),
     )
     seeded, computed = build_overlap_blocks(rotated), build_overlap_blocks(direct)
+    helpers.check_seeded_against_arrays(seeded)
     bound = 16 * det.n_electrons * EPS * max(1.0, norm)
     for name in ("o_aa", "o_ab", "o_bb"):
         assert np.max(np.abs(getattr(seeded, name) - getattr(computed, name))) <= bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    ne=st.sampled_from([1, 2, 7, 40, 200]),
+    with_metric=st.booleans(),
+)
+def test_seeded_scalars_match_after_three_chained_alignments(seed, ne, with_metric):
+    rng = np.random.default_rng(seed)
+    m = max(ne // 2 + 1, 2) if ne < 200 else 100
+    det = gen_random_gchf(m, ne, seed)
+    if with_metric:
+        det = helpers.over_metric(det, helpers.random_pd_metric(rng, m))
+    chain = [det]
+    for _ in range(3):
+        chain.append(align_to_axis(chain[-1], helpers.random_unit_vector(rng)))
+    # Each is mixed straight from the first determinant's stack, in any order.
+    for rotated in reversed(chain[1:]):
+        helpers.check_seeded_against_arrays(rotated._blocks)
+    assert build_overlap_blocks(chain[-1]) is chain[-1]._blocks
 
 
 @pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
