@@ -389,10 +389,15 @@ class OverlapBlocks:
         return np.trace(self.o_aa), np.trace(self.o_ab), np.trace(self.o_bb)
 
     @functools.cached_property
+    def _d_reductions(self) -> tuple[float, complex]:
+        """||D||_F^2 and <o_ab, D>, both from one D = o_aa - o_bb, which is not kept."""
+        d = self.o_aa - self.o_bb
+        return float(np.vdot(d, d).real), complex(np.vdot(self.o_ab, d))
+
+    @functools.cached_property
     def _d_norm_sq(self) -> float:
         """||o_aa - o_bb||_F^2."""
-        d = self.o_aa - self.o_bb
-        return float(np.vdot(d, d).real)
+        return self._d_reductions[0]
 
     @functools.cached_property
     def _x_norm_sq(self) -> float:
@@ -407,7 +412,7 @@ class OverlapBlocks:
     @functools.cached_property
     def _x_dot_d(self) -> complex:
         """<o_ab, o_aa - o_bb> = sum_ij conj(o_ab[i, j]) (o_aa - o_bb)[i, j]."""
-        return complex(np.vdot(self.o_ab, self.o_aa - self.o_bb))
+        return self._d_reductions[1]
 
     def _compression_gram(self) -> np.ndarray:
         """G[mu, nu] = Re tr(T_mu T_nu) of the spin compressions, from the four reductions.

@@ -45,14 +45,15 @@ def _parse_complex_matrix(doc: dict, field: str, rows: int, cols: int) -> np.nda
             raise ShapeError(f"row {i} of {field!r} has {len(row)} entries, expected {cols}")
     # Whole-matrix checks in C-level passes; only a failure walks the entries.
     pairs = list(chain.from_iterable(raw))
-    if (
-        set(map(type, pairs)) != {list}
-        or set(map(len, pairs)) != {2}
-        or not set(map(type, chain.from_iterable(pairs))) <= _NUMBER_TYPES
-    ):
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        raise _bad_entry(raw, field)
+    # One flat list of re, im, re, im, ...: numpy converts it without
+    # discovering the shape of nested sequences.
+    numbers = list(chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= _NUMBER_TYPES:
         raise _bad_entry(raw, field)
     try:
-        values = np.array(pairs, dtype=np.float64)
+        values = np.array(numbers, dtype=np.float64)
     except OverflowError:
         raise _bad_entry(raw, field) from None
     # (re, im) float pairs are complex128's memory layout, so the view keeps every bit.
@@ -132,8 +133,12 @@ def load_determinant(path) -> SpinorDeterminant:
 def save_determinant(det: SpinorDeterminant, path) -> None:
     """Write a determinant file (full double precision, round-trip exact).
 
-    One matrix row per line, each encoded by ``json``'s C encoder; an
-    ``indent`` would switch the whole document to the pure-Python encoder.
+    One matrix row per line.  Each row is read from the matrix's interleaved
+    (rows, 2 * cols) float64 view and formatted with one ``%r`` template, so
+    every number costs one ``float.__repr__``, the call ``json``'s encoder
+    makes, and the bytes are the ones ``json.dumps`` gives for the row's
+    [re, im] pairs.  A determinant holds only finite numbers, so no
+    ``NaN`` or ``Infinity`` spelling arises.
     """
     matrices = {"coeff_alpha": det.coeff_alpha, "coeff_beta": det.coeff_beta}
     if det.ao_overlap is not None:
@@ -142,9 +147,11 @@ def save_determinant(det: SpinorDeterminant, path) -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
             fh.write(f'{{\n "basis_dim": {det.basis_dim},\n "n_electrons": {det.n_electrons}')
             for field, matrix in matrices.items():
-                rows = np.stack((matrix.real, matrix.imag), axis=-1).tolist()
+                row = "[" + ", ".join(["[%r, %r]"] * matrix.shape[1]) + "]"
+                # A sealed view may be non-contiguous (a transposed metric); .view needs contiguous rows.
+                values = np.ascontiguousarray(matrix).view(np.float64).tolist()
                 fh.write(f',\n "{field}": [\n  ')
-                fh.write(",\n  ".join(map(json.dumps, rows)))
+                fh.write(",\n  ".join([row % tuple(numbers) for numbers in values]))
                 fh.write("\n ]")
             fh.write("\n}\n")
     except OSError as exc:

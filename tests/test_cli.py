@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import spincol.determinant
@@ -120,6 +122,77 @@ def test_saved_file_is_the_same_document_one_row_per_line(tmp_path):
     # Braces, two integer fields, and per matrix an opening line, 3 rows and a closing line.
     assert len(lines) == 4 + 3 * (1 + 3 + 1)
     assert [json.loads(line.rstrip(",")) for line in lines[4:7]] == expected["coeff_alpha"]
+
+
+def _json_dumps_encoding(det):
+    """The file ``json.dumps`` writes for ``det``: one dumps call per row of [re, im] pairs."""
+    text = f'{{\n "basis_dim": {det.basis_dim},\n "n_electrons": {det.n_electrons}'
+    matrices = {"coeff_alpha": det.coeff_alpha, "coeff_beta": det.coeff_beta, "ao_overlap": det.ao_overlap}
+    for field, m in matrices.items():
+        if m is not None:
+            rows = ",\n  ".join(map(json.dumps, np.stack((m.real, m.imag), -1).tolist()))
+            text += f',\n "{field}": [\n  {rows}\n ]'
+    return text + "\n}\n"
+
+
+# Numbers whose shortest repr takes each form: signed zero, the smallest subnormal, a
+# three-digit exponent, integral floats, and both exponent signs.
+SPECIAL_FLOATS = (-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.0, 1e-05, 1e16, 1e-300)
+
+
+def test_saved_bytes_are_the_json_dumps_encoding(tmp_path):
+    metric_det = helpers.random_metric_determinant(4, 3, seed=12)
+    coeffs = metric_det.stacked().copy().reshape(-1)
+    coeffs.view(np.float64)[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    det = SpinorDeterminant(4, 3, *coeffs.reshape(2, 4, 3), metric_det.ao_overlap)
+    # A transposed sealed metric is kept as a non-contiguous view.
+    transposed = SpinorDeterminant(4, 3, det.coeff_alpha, det.coeff_beta, det.ao_overlap.T)
+    assert not transposed.ao_overlap.flags.c_contiguous
+    unit = SpinorDeterminant(1, 1, [[complex(1.0, -0.0)]], [[complex(-0.0, 5e-324)]])
+    for i, case in enumerate((det, transposed, unit, gen_random_gchf(5, 4, seed=3))):
+        path = tmp_path / f"det{i}.json"
+        save_determinant(case, path)
+        assert path.read_bytes() == _json_dumps_encoding(case).encode("utf-8"), i
+
+
+_FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_SMALL = st.one_of(st.sampled_from(SPECIAL_FLOATS[:3] + (1e-05, 0.5, -1.0)), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _determinants(draw):
+    m = draw(st.integers(1, 5))
+    ne = draw(st.integers(1, 2 * m))
+    coeffs = np.array(draw(st.lists(_FINITE, min_size=4 * m * ne, max_size=4 * m * ne)))
+    ca, cb = coeffs.view(np.complex128).reshape(2, m, ne)
+    metric = None
+    if draw(st.booleans()):
+        # Hermitian and diagonally dominant, so positive definite; the diagonal is integral.
+        off = np.array(draw(st.lists(_SMALL, min_size=2 * m * m, max_size=2 * m * m))).view(np.complex128)
+        upper = np.triu(off.reshape(m, m), 1)
+        metric = upper + upper.conj().T
+        np.fill_diagonal(metric, complex(2.0 * m, draw(st.sampled_from([0.0, -0.0]))))
+        if draw(st.booleans()):
+            metric = SpinorDeterminant(m, ne, ca, cb, metric).ao_overlap.T
+    return SpinorDeterminant(m, ne, ca, cb, metric)
+
+
+@settings(max_examples=60, deadline=None)
+@given(det=_determinants(), indent=st.sampled_from([None, 0, 1, 4, "\t"]), data=st.data())
+def test_save_parse_is_bit_exact_in_any_json_layout(tmp_path_factory, det, indent, data):
+    path = tmp_path_factory.mktemp("layout") / "det.json"
+    save_determinant(det, path)
+    assert path.read_bytes() == _json_dumps_encoding(det).encode("utf-8")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    keys = data.draw(st.permutations(list(doc)))
+    separators = data.draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,", " : ")]))
+    relaid = path.with_name("relaid.json")
+    relaid.write_text(json.dumps({key: doc[key] for key in keys}, indent=indent, separators=separators))
+    for loaded in (parse_determinant(path), parse_determinant(relaid)):
+        assert (loaded.ao_overlap is None) == (det.ao_overlap is None)
+        for name in ("coeff_alpha", "coeff_beta", "ao_overlap"):
+            if getattr(det, name) is not None:
+                assert getattr(loaded, name).tobytes() == np.ascontiguousarray(getattr(det, name)).tobytes(), name
 
 
 def test_load_minimal_pure_alpha(tmp_path):

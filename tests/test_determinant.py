@@ -342,6 +342,24 @@ def test_each_block_reduction_is_computed_once_when_first_read(monkeypatch):
     assert calls == {name: [id(blocks)] for name in REDUCTIONS}
 
 
+def test_d_norm_and_x_dot_d_come_from_one_difference(monkeypatch):
+    # ||D||² and <X, D> share one D = o_aa - o_bb, bit for bit the values of their own
+    # expressions; a rotation seeds both, so its blocks never form D.
+    calls = _count_computations(monkeypatch, ("_d_reductions",))
+    det = helpers.random_metric_determinant(6, 5, seed=13)
+    blocks = build_overlap_blocks(det)
+    rotated = build_overlap_blocks(su2_rotate(det, SpinRotation([0.6, 0.0, 0.8], 0.7)))
+    _run_every_formula(blocks, rotated)
+    assert calls == {"_d_reductions": [id(blocks)]}
+    # Once ||D||² is read, <X, D> reads no block: it is there with the stack taken away.
+    fresh = build_overlap_blocks(SpinorDeterminant(6, 5, det.coeff_alpha, det.coeff_beta, det.ao_overlap))
+    d = fresh.o_aa - fresh.o_bb
+    expected = float(np.vdot(d, d).real), complex(np.vdot(fresh.o_ab, d))
+    assert fresh._d_norm_sq == expected[0]
+    del fresh.__dict__["_stack"]
+    assert fresh._x_dot_d == expected[1]
+
+
 def test_rotated_blocks_compute_no_scalar_from_arrays(monkeypatch):
     # A rotation seeds every scalar from the parent's; none is computed from the rotated arrays,
     # and each seeded value is within rounding of the one the materialized arrays give.
