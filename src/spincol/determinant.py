@@ -17,16 +17,16 @@ as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
 :func:`build_overlap_blocks` and :func:`orthonormalize`.  A determinant
 derived from another (rotated or orthonormalized) shares its parent's
 validated metric and derives its blocks from the parent's, so the metric is
-applied once per input determinant.  A rotation costs O(M·Ne) for the
-coefficients plus O(1) for every spin quantity, which its blocks take from
-the parent's <S> and compression Gram matrix; their arrays are mixed from
-the parent's only when first read.
+applied once per input determinant.  A rotation costs O(1) for every spin
+quantity, which its blocks take from the parent's <S> and compression Gram
+matrix, plus one finiteness check of the coefficient buffer it is built on.
+Its coefficients and its block arrays are mixed, each by one GEMM from the
+root of its chain of rotations, only when first read.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,8 +126,60 @@ def _mixing_weights(u: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
+    """Raise unless every entry of the complex array ``arr`` is finite.
+
+    ||arr||² is finite whenever every entry is and the sum does not overflow,
+    and ``np.vdot`` reads ``arr`` once; only when it is not finite (a NaN, an
+    infinity, or entries above about 1e154) does the exact scan decide.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.vdot(arr, arr)):
+            return
     if not np.isfinite(arr).all():
         raise SpincolError(f"{name} has a non-finite entry (NaN or infinity)")
+
+
+def _checked_coefficients(coeffs: np.ndarray) -> np.ndarray:
+    """The (2, M, Ne) buffer ``coeffs``, after checking that both halves are finite."""
+    _check_finite("coeff_alpha", coeffs[0])
+    _check_finite("coeff_beta", coeffs[1])
+    return coeffs
+
+
+def _mixed_once(obj, name: str, pending_name: str, mix) -> np.ndarray:
+    """``obj``'s array ``name``, made by ``mix(*pending)`` from its pending rotation ``pending_name``.
+
+    The array is stored before the pending rotation is dropped, so a second
+    thread that gets here (``functools.cached_property`` has no lock on
+    Python 3.12) finds one or the other, and every thread returns the array
+    stored first.
+    """
+    state = obj.__dict__
+    pending = state.get(pending_name)
+    if pending is None:
+        return state[name]
+    value = state.setdefault(name, mix(*pending))
+    state.pop(pending_name, None)
+    return value
+
+
+def _rotated_coefficients(u: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """u times the (2, M·Ne) view of the frozen buffer ``root``, one GEMM, sealed and checked.
+
+    Overflow is not warned about; it leaves an infinity that the check reports.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _sealed(u @ root.reshape(2, -1)).reshape(root.shape)
+    return _checked_coefficients(coeffs)
+
+
+def _rotated_stack(u: np.ndarray, root: OverlapBlocks) -> np.ndarray:
+    """The stack of ``root``'s blocks rotated by ``u``: one 3x4 mixing GEMM over ``root``'s stack."""
+    ne = root.n_electrons
+    mixed = _mixing_weights(u) @ root._stack.reshape(4, ne * ne)
+    stack = np.empty((4, ne, ne), dtype=np.complex128)
+    stack[0], stack[1], stack[3] = mixed.reshape(3, ne, ne)
+    return _sealed_stack(stack)
 
 
 def _real(value: complex, what: str) -> float:
@@ -159,21 +211,22 @@ def _metric_applied(det: "SpinorDeterminant") -> tuple[np.ndarray, np.ndarray]:
     return det.ao_overlap @ det.coeff_alpha, det.ao_overlap @ det.coeff_beta
 
 
-@dataclass(frozen=True)
 class SpinorDeterminant:
     """Single determinant of two-component spinors.
 
     Column ``i`` of ``coeff_alpha`` / ``coeff_beta`` holds the spatial
     expansion of the alpha / beta component of spinor ``i``.  ``ao_overlap``
     is the Hermitian positive-definite metric of the spatial basis; ``None``
-    means identity (orthonormal basis).
+    means identity (orthonormal basis).  A determinant is immutable.
 
     Construction validates shapes, finiteness and the metric, which it
     copies and freezes.  The coefficients are copied into one frozen
     (2, M, Ne) buffer, alpha then beta, and ``coeff_alpha`` and
     ``coeff_beta`` are read-only views of its halves; two views that already
     are the halves of one frozen buffer (a derived determinant's) are kept
-    without a copy.
+    without a copy.  A rotated determinant (:meth:`_rotated`) holds the
+    buffer it was built on and an SU(2) matrix instead, and mixes its own
+    buffer from them when a coefficient is first read.
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
     sets can be represented and passed to :func:`orthonormalize`.
@@ -182,20 +235,13 @@ class SpinorDeterminant:
     determinant's lifetime (4·Ne² complex numbers, o_ba included).
     """
 
-    basis_dim: int
-    n_electrons: int
-    coeff_alpha: np.ndarray
-    coeff_beta: np.ndarray
-    ao_overlap: np.ndarray | None = None
-    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m, ne = self.basis_dim, self.n_electrons
+    def __init__(self, basis_dim: int, n_electrons: int, coeff_alpha, coeff_beta, ao_overlap=None):
+        m, ne = basis_dim, n_electrons
         if m < 1 or ne < 1:
             raise DimensionMismatch(f"need basis_dim >= 1 and n_electrons >= 1, got {m}, {ne}")
         if ne > 2 * m:
             raise DimensionMismatch(f"{ne} electrons do not fit in {2 * m} spin-orbitals")
-        ca, cb = np.asarray(self.coeff_alpha), np.asarray(self.coeff_beta)
+        ca, cb = np.asarray(coeff_alpha), np.asarray(coeff_beta)
         if ca.shape != (m, ne) or cb.shape != (m, ne):
             raise DimensionMismatch(
                 f"coefficient matrices must be {m}x{ne}, got {ca.shape} and {cb.shape}"
@@ -205,13 +251,23 @@ class SpinorDeterminant:
             coeffs = np.empty((2, m, ne), dtype=np.complex128)
             coeffs[0], coeffs[1] = ca, cb
             coeffs = _sealed(coeffs)
-        _check_finite("coeff_alpha", coeffs[0])
-        _check_finite("coeff_beta", coeffs[1])
-        object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "coeff_alpha", coeffs[0])
-        object.__setattr__(self, "coeff_beta", coeffs[1])
-        if self.ao_overlap is not None:
-            object.__setattr__(self, "ao_overlap", _validated_metric(self.ao_overlap, m))
+        _checked_coefficients(coeffs)
+        if ao_overlap is not None:
+            ao_overlap = _validated_metric(ao_overlap, m)
+        self.__dict__.update(basis_dim=m, n_electrons=ne, ao_overlap=ao_overlap, _coeffs=coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpinorDeterminant is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SpinorDeterminant is immutable; cannot delete {name!r}")
+
+    def __repr__(self):
+        return (
+            f"SpinorDeterminant(basis_dim={self.basis_dim!r}, n_electrons={self.n_electrons!r}, "
+            f"coeff_alpha={self.coeff_alpha!r}, coeff_beta={self.coeff_beta!r}, "
+            f"ao_overlap={self.ao_overlap!r})"
+        )
 
     def __reduce__(self):
         # Copies and unpickled determinants go through the constructor, so they are
@@ -219,9 +275,38 @@ class SpinorDeterminant:
         args = self.basis_dim, self.n_electrons, self.coeff_alpha, self.coeff_beta, self.ao_overlap
         return SpinorDeterminant, args
 
+    @functools.cached_property
+    def _coeffs(self) -> np.ndarray:
+        """The coefficients as one frozen (2, M, Ne) buffer, alpha then beta.
+
+        Only a rotated determinant computes it here, by one 2x2 GEMM over the
+        buffer at the root of its chain of rotations, checked for finiteness
+        as the constructor checks its input; every other determinant is given
+        its buffer when it is made.
+        """
+        return _mixed_once(self, "_coeffs", "_rotation", _rotated_coefficients)
+
+    coeff_alpha = property(lambda self: self._coeffs[0], doc="Alpha components, one spinor per column (read-only).")
+    coeff_beta = property(lambda self: self._coeffs[1], doc="Beta components, one spinor per column (read-only).")
+
     def stacked(self) -> np.ndarray:
         """Coefficients as one read-only 2M x Ne matrix, alpha rows on top (a view, no copy)."""
         return self._coeffs.reshape(2 * self.basis_dim, self.n_electrons)
+
+    def _rotated(self, u: np.ndarray, blocks: OverlapBlocks) -> SpinorDeterminant:
+        """This determinant with every spinor rotated by the SU(2) matrix ``u``; ``blocks`` are its products.
+
+        The constructor checks the buffer at the root of this determinant's
+        chain of rotations (its own, unless its coefficients are still
+        pending), which the result keeps with the composed matrix u u_0
+        instead of a mixed buffer: its coefficients wait until they are read,
+        and those of any chain of rotations take one GEMM.
+        """
+        pending = self.__dict__.get("_rotation")
+        u, root = (u, self._coeffs) if pending is None else (u @ pending[0], pending[1])
+        rotated = _derived(self, root, blocks)
+        rotated.__dict__["_rotation"] = (u, rotated.__dict__.pop("_coeffs"))
+        return rotated
 
     @functools.cached_property
     def _blocks(self) -> OverlapBlocks:
@@ -294,22 +379,9 @@ class OverlapBlocks:
 
         Only rotated blocks compute it here, by one 3x4 mixing GEMM over the
         stack of the blocks at the root of their chain of rotations; every
-        other blocks object is given its stack when it is made.  The stack is
-        stored before the pending rotation is dropped, so a second thread
-        that gets here finds one or the other, and every thread returns the
-        stack stored first.
+        other blocks object is given its stack when it is made.
         """
-        pending = self.__dict__.get("_mixing")
-        if pending is None:
-            return self.__dict__["_stack"]
-        u, root = pending
-        ne = self.n_electrons
-        mixed = _mixing_weights(u) @ root._stack.reshape(4, ne * ne)
-        stack = np.empty((4, ne, ne), dtype=np.complex128)
-        stack[0], stack[1], stack[3] = mixed.reshape(3, ne, ne)
-        stack = self.__dict__.setdefault("_stack", _sealed_stack(stack))
-        self.__dict__.pop("_mixing", None)
-        return stack
+        return _mixed_once(self, "_stack", "_mixing", _rotated_stack)
 
     o_aa = property(lambda self: self._stack[0], doc="<phi_i^alpha | phi_j^alpha>, slot 0 of the stack.")
     o_ab = property(lambda self: self._stack[1], doc="<phi_i^alpha | phi_j^beta>, slot 1 of the stack.")
@@ -501,8 +573,7 @@ def _derived(parent: SpinorDeterminant, coeffs: np.ndarray, blocks: OverlapBlock
     (derived exactly from the parent's).
     """
     det = SpinorDeterminant(parent.basis_dim, parent.n_electrons, *coeffs)
-    object.__setattr__(det, "ao_overlap", parent.ao_overlap)
-    det.__dict__["_blocks"] = blocks
+    det.__dict__.update(ao_overlap=parent.ao_overlap, _blocks=blocks)
     return det
 
 

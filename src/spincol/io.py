@@ -10,6 +10,7 @@ matrix row per line; the reader accepts any JSON whitespace.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from itertools import chain
@@ -80,10 +81,19 @@ def parse_determinant(path) -> SpinorDeterminant:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    # The document's pair lists hold only numbers, so the cyclic collector's
+    # passes while json.loads builds them find nothing.  It is paused for that
+    # call only if it was running, and only then enabled again.
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     for field in _REQUIRED_FIELDS:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collinearity import _check_unit
-from .determinant import SpinorDeterminant, _derived, _sealed, lowdin_orthonormalize
+from .determinant import SpinorDeterminant, lowdin_orthonormalize
 from .errors import DimensionMismatch
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -55,21 +55,22 @@ class SpinRotation:
 def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
     """Apply the same SU(2) matrix to the (alpha, beta) pair of every spinor.
 
-    The coefficients are rotated by one GEMM, u times the (2, M·Ne) view of
-    the coefficient buffer, in O(M·Ne).  The rotated determinant shares
-    ``det``'s metric array, so it is not validated again, and its overlap
-    blocks are derived from ``det``'s: every spin quantity and both gate
-    values in O(1), from the parent's <S>, compression Gram matrix and gate
-    values mapped by ``rot.so3()``, and the block arrays by one 3x4 mixing
-    GEMM over the block stack of the parent (or, if the parent's blocks are
-    still pending, of the root of the chain of rotations), run only when
-    they are first read (see :meth:`OverlapBlocks._rotated`).  No metric
-    application or block GEMM is repeated.
+    Nothing here costs O(M·Ne) beyond the constructor's finiteness check.
+    The rotated determinant is built on the sealed coefficient buffer of
+    ``det`` (or, if its coefficients are still pending, of the root of its
+    chain of rotations) without a copy, and keeps the composed SU(2) matrix:
+    its coefficients are mixed by one 2x2 GEMM over that buffer only when
+    first read.  It shares ``det``'s metric array, so it is not validated
+    again, and its overlap blocks are derived from ``det``'s: every spin
+    quantity and both gate values in O(1), from the parent's <S>,
+    compression Gram matrix and gate values mapped by ``rot.so3()``, and the
+    block arrays by one 3x4 mixing GEMM over the block stack at the root of
+    the chain, run only when they are first read (see
+    :meth:`OverlapBlocks._rotated`).  No metric application or block GEMM is
+    repeated.
     """
     u = rot.su2()
-    m, ne = det.basis_dim, det.n_electrons
-    coeffs = _sealed(u @ det._coeffs.reshape(2, m * ne)).reshape(2, m, ne)
-    return _derived(det, coeffs, det._blocks._rotated(u, rot.so3()))
+    return det._rotated(u, det._blocks._rotated(u, rot.so3()))
 
 
 def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:

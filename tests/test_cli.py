@@ -1,5 +1,6 @@
 """File format round trips and the command line contract."""
 
+import gc
 import json
 import os
 import subprocess
@@ -227,6 +228,22 @@ def test_load_rejects_json_nested_past_the_recursion_limit(tmp_path):
 def test_load_rejects_missing_field(tmp_path):
     with pytest.raises(ParseError):
         load_determinant(_write(tmp_path, "missing.json", '{"basis_dim": 1}'))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_parse_leaves_the_garbage_collector_as_it_found_it(tmp_path, enabled):
+    # The collector is paused around json.loads only, and never enabled if the caller had disabled it.
+    good, bad = _write(tmp_path, "good.json", PURE_ALPHA_DOC), _write(tmp_path, "bad.json", "{not json")
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert parse_determinant(good).n_electrons == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_determinant(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import spincol.cli
 import spincol.determinant
 from spincol import (
     DimensionMismatch,
@@ -34,7 +35,7 @@ from spincol import (
     su2_rotate,
     to_identity_metric,
 )
-from spincol.cli import oracle_rows
+from spincol.cli import build_report, oracle_rows
 
 
 def test_blocks_pure_alpha():
@@ -193,6 +194,61 @@ def test_constructor_rejects_non_finite(field):
     args[field][0, 0] = np.nan
     with pytest.raises(SpincolError, match=field):
         SpinorDeterminant(2, 1, **args)
+
+
+@pytest.mark.parametrize(
+    "entry", [complex(0.0, np.nan), complex(np.inf, 0.0), complex(1.0, -np.inf)], ids=["nan-imag", "+inf", "-inf"]
+)
+@pytest.mark.parametrize("field", ["coeff_alpha", "coeff_beta"])
+def test_constructor_rejects_each_kind_of_non_finite_entry(field, entry):
+    args = {"coeff_alpha": np.eye(3, 2, dtype=complex), "coeff_beta": np.zeros((3, 2), dtype=complex)}
+    args[field][2, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpincolError, match=f"{field} has a non-finite entry"):
+            SpinorDeterminant(3, 2, **args)
+
+
+def _count_elementwise_scans(monkeypatch) -> list:
+    """The shapes of the arrays ``np.isfinite`` is called on from now on (scalars are not counted)."""
+    scans, isfinite = [], np.isfinite
+
+    def counting(x, *args, **kwargs):
+        if np.ndim(x):
+            scans.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    return scans
+
+
+@pytest.mark.parametrize(
+    "value, scanned",
+    [(0.5, False), (1e200, True), (1.7e308, True), (5e-324, False), (2.5e-310, False)],
+    ids=["plain", "norm-overflows", "near-max", "smallest-subnormal", "subnormal"],
+)
+def test_constructor_accepts_finite_entries_of_any_magnitude(monkeypatch, value, scanned):
+    # ||C||² is finite for ordinary input, so no entry-by-entry scan runs; when it overflows,
+    # the exact scan decides, and finite entries pass it.
+    coeffs = np.full((3, 2), complex(value, -value))
+    scans = _count_elementwise_scans(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det = SpinorDeterminant(3, 2, coeffs, coeffs[::-1])
+    assert det.coeff_alpha.tobytes() == coeffs.tobytes()
+    assert scans == ([(3, 2), (3, 2)] if scanned else [])
+
+
+def test_a_nan_in_a_transposed_sealed_metric_is_rejected():
+    metric = np.eye(3, dtype=complex)
+    metric[0, 2] = metric[2, 0] = complex(np.nan, 0.0)
+    metric.setflags(write=False)
+    # A sealed transposed view is kept as it is, not copied into contiguous memory.
+    assert spincol.determinant._is_sealed(metric.T) and not metric.T.flags.c_contiguous
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpincolError, match="ao_overlap has a non-finite entry"):
+            SpinorDeterminant(3, 1, np.eye(3, 1), np.zeros((3, 1)), metric.T)
 
 
 def test_build_rejects_non_orthonormal():
@@ -436,6 +492,98 @@ def test_a_long_chain_of_rotations_is_mixed_by_one_gemm():
     fresh = SpinorDeterminant(5, 4, rotated.coeff_alpha, rotated.coeff_beta, np.array(det.ao_overlap))
     for name in ("o_aa", "o_ab", "o_ba", "o_bb"):
         assert np.max(np.abs(getattr(blocks, name) - getattr(fresh._blocks, name))) <= 1e-11, name
+
+
+def test_rotated_coefficients_are_not_mixed_along_the_analysis_path(monkeypatch):
+    # The analyze-large op and `analyze --align-optimal` read only seeded scalars of the tilted
+    # determinant, which keeps its parent's buffer and an SU(2) matrix in place of its own.
+    det = helpers.random_metric_determinant(8, 6, seed=21)
+    blocks = build_overlap_blocks(det)
+    decompose_s2(blocks)
+    spin_vector(blocks)
+    tilted = align_to_axis(det, analyze_collinearity(blocks).optimal_axis)
+    decompose_s2(build_overlap_blocks(tilted))
+    tilted_in_report = []
+
+    def recording_align(*args):
+        tilted_in_report.append(align_to_axis(*args))
+        return tilted_in_report[-1]
+
+    monkeypatch.setattr(spincol.cli, "align_to_axis", recording_align)
+    build_report(det, "det.json", "0" * 64, align_optimal=True)
+    assert len(tilted_in_report) == 1
+    for rotated in (tilted_in_report[0], tilted):
+        assert "_coeffs" not in rotated.__dict__ and "_rotation" in rotated.__dict__
+        u, root = rotated.__dict__["_rotation"]
+        assert root.base is det.stacked().base
+    # The first read mixes them by one GEMM and lets go of the pending rotation.
+    assert tilted.stacked().tobytes() == (u @ det.stacked().reshape(2, -1)).reshape(16, 6).tobytes()
+    assert "_coeffs" in tilted.__dict__ and "_rotation" not in tilted.__dict__
+
+
+def test_a_long_chain_of_rotated_coefficients_is_mixed_by_one_gemm(monkeypatch):
+    rng = np.random.default_rng(22)
+    det = gen_random_gchf(6, 5, seed=22)
+    rotated, sequential = det, det.stacked().reshape(2, -1)
+    for _ in range(1500):
+        rot = SpinRotation(helpers.random_unit_vector(rng), rng.uniform(-4.0, 4.0))
+        rotated = su2_rotate(rotated, rot)
+        sequential = rot.su2() @ sequential
+    assert rotated.__dict__["_rotation"][1].base is det.stacked().base
+    mixes, mix = [], spincol.determinant._rotated_coefficients
+
+    def counting_mix(*args):
+        mixes.append(args)
+        return mix(*args)
+
+    monkeypatch.setattr(spincol.determinant, "_rotated_coefficients", counting_mix)
+    assert np.max(np.abs(rotated.stacked() - sequential.reshape(12, 5))) <= 1e-13
+    assert np.array_equal(rotated.coeff_beta, rotated.stacked()[6:])
+    assert len(mixes) == 1
+
+
+def test_threads_reading_one_pending_coefficient_buffer_share_it():
+    det = gen_random_gchf(300, 200, seed=23)
+    rotated = align_to_axis(det, [0.48, 0.6, 0.64])
+    barrier, seen, errors = threading.Barrier(4), [], []
+
+    def read():
+        barrier.wait()
+        try:
+            seen.append(rotated.coeff_beta)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == [] and len(seen) == 4
+    buffer = rotated.__dict__["_coeffs"]
+    assert all(coeff_beta.base is buffer.base for coeff_beta in seen)
+
+
+def test_overflowing_rotated_coefficients_fail_when_read():
+    # Entries of 1.5e308 pass the constructor (||C||² overflows, the exact scan finds every entry
+    # finite); a 90° turn about y adds the two components past the largest double.
+    big = np.full((2, 2), 1.5e308, dtype=complex)
+    rot = SpinRotation([0.0, 1.0, 0.0], np.pi / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det = SpinorDeterminant(2, 2, big, big)
+        rotated = su2_rotate(det, rot)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mixed = (rot.su2() @ det.stacked().reshape(2, -1)).reshape(2, 2, 2)
+        with pytest.raises(SpincolError, match="non-finite") as eager:
+            SpinorDeterminant(2, 2, *mixed)
+        for read in (lambda: rotated.coeff_alpha, lambda: rotated.coeff_beta, rotated.stacked):
+            with pytest.raises(SpincolError, match="non-finite") as lazy:
+                read()
+            assert str(lazy.value) == str(eager.value)
+        # The parent's Gram matrix has overflowed, so the seeded orthonormality gate fails first.
+        with pytest.raises(NotOrthonormal):
+            build_overlap_blocks(rotated)
 
 
 @pytest.mark.parametrize("tampered", ["o_aa", "o_bb"])
