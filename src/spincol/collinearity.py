@@ -6,21 +6,21 @@ variances and covariances of Sx, Sy, Sz gives a real symmetric 3x3 matrix A
 with col(u) = u^T A u; its lowest eigenvalue is the best achievable value and
 the corresponding eigenvector is the optimal quantization axis.
 
-A has a closed form in the spinor overlap blocks.  With the Hermitian Ne x Ne
+A and <S> are the overlap blocks' record, computed once; a spin rotation R
+maps it to R <S> and R A R^T without a reduction.  With the Hermitian Ne x Ne
 compressions T_mu[k, i] = <phi_k | S_mu phi_i>,
 
     A[mu, nu] = delta(mu, nu) * Ne / 4 - G[mu, nu],   G[mu, nu] = Re tr(T_mu T_nu),
 
 where the <S_mu><S_nu> cross terms cancel exactly.  The compressions are
 T_x = (X + X^H) / 2, T_y = i (X^H - X) / 2 and T_z = D / 2, with X = o_ab and
-D = o_aa - o_bb, so the Gram matrix G needs none of them built: with
-tau = sum_ij X_ij X_ji = tr(X X) and <P, Q> = sum_ij conj(P_ij) Q_ij,
+D = o_aa - o_bb, so G needs none of them built: with tau = tr(X X) and
+<P, Q> = sum_ij conj(P_ij) Q_ij,
 
     G_xx = (||X||^2 + Re tau) / 2      G_yy = (||X||^2 - Re tau) / 2
     G_zz = ||D||^2 / 4                 G_xy = Im tau / 2
     G_xz = Re <X, D> / 2               G_yz = -Im <X, D> / 2.
 
-That is four O(Ne^2) reductions and one subtraction, no matrix products.
 The 3x3 eigenproblem goes to ``np.linalg.eigh``.
 """
 
@@ -94,13 +94,8 @@ def spin_vector(blocks: OverlapBlocks) -> SpinVector:
 
 
 def a_matrix(blocks: OverlapBlocks) -> np.ndarray:
-    """Real symmetric 3x3 spin covariance matrix A with col(u) = u^T A u.
-
-    The Gram matrix G comes from the four block reductions of the module
-    docstring, which the blocks object caches; each off-diagonal entry is
-    computed once, so A is exactly symmetric.
-    """
-    return np.eye(3) * (blocks.n_electrons / 4.0) - blocks._compression_gram()
+    """Real symmetric 3x3 spin covariance matrix A with col(u) = u^T A u (a copy of the blocks' record)."""
+    return blocks._record.a.copy()
 
 
 def _check_unit(u) -> np.ndarray:

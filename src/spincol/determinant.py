@@ -14,19 +14,18 @@ o_ab.  This module builds and validates those blocks.
 
 A determinant is immutable, so its products are computed once, on first use,
 as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
-:func:`build_overlap_blocks` and :func:`orthonormalize`.  A determinant
-derived from another (rotated or orthonormalized) shares its parent's
-validated metric and derives its blocks from the parent's, so the metric is
-applied once per input determinant.  A rotation costs O(1) for every spin
-quantity, which its blocks take from the parent's <S> and compression Gram
-matrix, plus one finiteness check of the coefficient buffer it is built on.
-Its coefficients and its block arrays are mixed, each by one GEMM from the
-root of its chain of rotations, only when first read.
+:func:`build_overlap_blocks` and :func:`orthonormalize`; the spin formulas
+read one record the blocks compute once: N_alpha, N_beta, <S> and the spin
+covariance matrix A.  A derived determinant (rotated or orthonormalized)
+shares its parent's validated metric and derives its blocks from the
+parent's.  A rotation maps the parent's record in O(1) and mixes its
+coefficients and block arrays, each by one GEMM, only when first read.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,6 +181,15 @@ def _rotated_stack(u: np.ndarray, root: OverlapBlocks) -> np.ndarray:
     return _sealed_stack(stack)
 
 
+class _SpinRecord(NamedTuple):
+    """What every spin formula reads: N_alpha = tr o_aa and N_beta = tr o_bb (complex, to be gated), <S> and A."""
+
+    n_alpha: complex
+    n_beta: complex
+    s: np.ndarray
+    a: np.ndarray
+
+
 def _real(value: complex, what: str) -> float:
     """The real part of ``value``, after gating its imaginary part at ``IMAG_TOL``."""
     value = complex(value)
@@ -229,10 +237,8 @@ class SpinorDeterminant:
     buffer from them when a coefficient is first read.
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
-    sets can be represented and passed to :func:`orthonormalize`.
-
-    The overlap blocks are computed on first use and kept for the
-    determinant's lifetime (4·Ne² complex numbers, o_ba included).
+    sets can be represented and passed to :func:`orthonormalize`.  The
+    overlap blocks (4·Ne² complex numbers) are kept for its lifetime.
     """
 
     def __init__(self, basis_dim: int, n_electrons: int, coeff_alpha, coeff_beta, ao_overlap=None):
@@ -342,15 +348,11 @@ class OverlapBlocks:
     [o_aa, o_ab, o_ba, o_bb], the operand of the SU(2) mixing GEMM.  A
     determinant's blocks are computed into such a stack; blocks built by
     hand are copied into one (so a caller's writeable array stays its own).
-    What the spin formulas read are O(1) scalars, each computed at most once,
-    when first read: the three traces tr o_aa, tr o_ab and tr o_bb, and, with
-    X = o_ab and D = o_aa - o_bb, the four reductions ||D||², ||X||², tr(X X)
-    and <X, D>.
-
-    Blocks of a rotated determinant (:meth:`_rotated`) get every one of
-    those scalars, and both gate values, from the parent's in O(1); their
-    stack is mixed, from the stack of the first determinant in their chain
-    of rotations, only when first read.
+    What the spin formulas read is one record, computed once, when first
+    read (:meth:`_record`).  Blocks of a rotated determinant
+    (:meth:`_rotated`) get it, and both gate values, from the parent's in
+    O(1); their stack is mixed, from the stack of the first determinant in
+    their chain of rotations, only when first read.
     """
 
     def __init__(self, o_aa, o_ab, o_bb):
@@ -391,48 +393,33 @@ class OverlapBlocks:
     def _rotated(self, u: np.ndarray, r: np.ndarray) -> OverlapBlocks:
         """The blocks after every spinor is rotated by the SU(2) matrix ``u``, whose SO(3) image is ``r``.
 
-        With s, t in {alpha, beta} they are o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij,
-        one 3x4 mixing GEMM over this stack, which waits until they are read.
-        If this object is itself a pending rotation by u_0 of a root's blocks,
-        the new one is the rotation by u u_0 of that root, so reading the last
-        blocks of any chain of rotations takes one GEMM.  Every scalar is
-        seeded in O(1) instead:
+        Their arrays, o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij, wait until read,
+        then take one 3x4 mixing GEMM over the stack at the root of the chain
+        of rotations, whose matrices compose.  What is read is seeded in O(1):
 
-        - the compression Gram matrix (see :meth:`_compression_gram`) becomes
-          G' = r G r^T, and gives ||D'||² = 4 G'_zz, ||X'||² = G'_xx + G'_yy,
-          tr(X' X') = G'_xx - G'_yy + 2i G'_xy and <X', D'> = 2 G'_xz - 2i G'_yz;
-        - s = (Re tr X, Im tr X, (tr o_aa - tr o_bb) / 2), which is <S>, becomes
-          s' = r s, and with n = tr(o_aa + o_bb) the traces are n/2 + s'_z,
-          s'_x + i s'_y and n/2 - s'_z;
-        - o'_aa + o'_bb = sum_ij (u^H u)_ij o_ij = o_aa + o_bb, so the
-          deviation from the identity is this object's;
-        - since o_ba is exactly o_ab^H, o'_ss - o'_ss^H is
-          |u[s, 0]|² (o_aa - o_aa^H) + |u[s, 1]|² (o_bb - o_bb^H), so each
-          Hermiticity residual is at most |u[s, 0]|² r_aa + |u[s, 1]|² r_bb,
-          the value the rotated blocks check.
+        - the record: <S>' = r <S>, A' = r A r^T and, as N_alpha + N_beta is
+          unchanged, N'_alpha and N'_beta = (N_alpha + N_beta) / 2 ± <Sz>';
+        - the identity deviation, as o'_aa + o'_bb = o_aa + o_bb;
+        - each Hermiticity residual's bound |u[s, 0]|² r_aa + |u[s, 1]|² r_bb,
+          as o'_ss - o'_ss^H = sum_i |u[s, i]|² (o_ii - o_ii^H) when o_ba is exactly o_ab^H.
 
-        A non-finite value among this object's scalars (an overflowed Gram
-        matrix) carries through as NaN or infinity, so the gates still fail.
+        A non-finite parent value carries through as NaN or infinity, so the gates still fail.
         """
         pending = self.__dict__.get("_mixing")
         mixing = (u, self) if pending is None else (u @ pending[0], pending[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            t_aa, t_ab, t_bb = self._traces
-            sx, sy, sz = r @ np.array([t_ab.real, t_ab.imag, ((t_aa - t_bb) / 2.0).real])
-            half_n = (t_aa + t_bb) / 2.0
-            g = r @ self._compression_gram() @ r.T
+            n_alpha, n_beta, s, a = self._record
+            s, a = r @ s, r @ a @ r.T
+            half_n = (n_alpha + n_beta) / 2.0
+            record = _SpinRecord(half_n + s[2], half_n - s[2], s, 0.5 * (a + a.T))
             r_aa, r_bb = self._hermiticity_residuals["o_aa"], self._hermiticity_residuals["o_bb"]
             w = np.abs(u) ** 2
-            residuals = {name: float(w[s, 0] * r_aa + w[s, 1] * r_bb) for s, name in enumerate(("o_aa", "o_bb"))}
+            residuals = {name: float(w[k, 0] * r_aa + w[k, 1] * r_bb) for k, name in enumerate(("o_aa", "o_bb"))}
         rotated = OverlapBlocks.__new__(OverlapBlocks)
         rotated.__dict__.update(
             n_electrons=self.n_electrons,
             _mixing=mixing,
-            _traces=(half_n + sz, complex(sx, sy), half_n - sz),
-            _d_norm_sq=float(4.0 * g[2, 2]),
-            _x_norm_sq=float(g[0, 0] + g[1, 1]),
-            _x_trace_sq=complex(g[0, 0] - g[1, 1], 2.0 * g[0, 1]),
-            _x_dot_d=complex(2.0 * g[0, 2], -2.0 * g[1, 2]),
+            _record=record,
             _identity_deviation=self._identity_deviation,
             _hermiticity_residuals=residuals,
         )
@@ -456,47 +443,24 @@ class OverlapBlocks:
         return {name: _hermiticity_residual(getattr(self, name)) for name in ("o_aa", "o_bb")}
 
     @functools.cached_property
-    def _traces(self) -> tuple[complex, complex, complex]:
-        """tr o_aa, tr o_ab and tr o_bb."""
-        return np.trace(self.o_aa), np.trace(self.o_ab), np.trace(self.o_bb)
+    def _record(self) -> _SpinRecord:
+        """N_alpha, N_beta, <S> and A, from three traces and four O(Ne²) reductions.
 
-    @functools.cached_property
-    def _d_reductions(self) -> tuple[float, complex]:
-        """||D||_F^2 and <o_ab, D>, both from one D = o_aa - o_bb, which is not kept."""
-        d = self.o_aa - self.o_bb
-        return float(np.vdot(d, d).real), complex(np.vdot(self.o_ab, d))
-
-    @functools.cached_property
-    def _d_norm_sq(self) -> float:
-        """||o_aa - o_bb||_F^2."""
-        return self._d_reductions[0]
-
-    @functools.cached_property
-    def _x_norm_sq(self) -> float:
-        """||o_ab||_F^2."""
-        return float(np.vdot(self.o_ab, self.o_ab).real)
-
-    @functools.cached_property
-    def _x_trace_sq(self) -> complex:
-        """tr(o_ab o_ab) = sum_ij o_ab[i, j] o_ab[j, i]."""
-        return complex(np.einsum("ij,ji->", self.o_ab, self.o_ab))
-
-    @functools.cached_property
-    def _x_dot_d(self) -> complex:
-        """<o_ab, o_aa - o_bb> = sum_ij conj(o_ab[i, j]) (o_aa - o_bb)[i, j]."""
-        return self._d_reductions[1]
-
-    def _compression_gram(self) -> np.ndarray:
-        """G[mu, nu] = Re tr(T_mu T_nu) of the spin compressions, from the four reductions.
-
-        See :mod:`spincol.collinearity` for the formula; each off-diagonal
-        entry is computed once, so G is exactly symmetric.
+        With X = o_ab and D = o_aa - o_bb, <S> = (Re tr X, Im tr X, (N_alpha - N_beta) / 2)
+        and A = I Ne/4 - G, with G built from ||D||², ||X||², tr(X X) and <X, D>
+        as :mod:`spincol.collinearity` shows; each off-diagonal entry is
+        computed once, so A is exactly symmetric.
         """
-        x_sq, tau, x_d = self._x_norm_sq, self._x_trace_sq, self._x_dot_d
-        g_xx, g_yy = 0.5 * (x_sq + tau.real), 0.5 * (x_sq - tau.real)
-        g_zz = 0.25 * self._d_norm_sq
+        x, d = self.o_ab, self.o_aa - self.o_bb
+        t_aa, t_ab, t_bb = np.trace(self.o_aa), np.trace(x), np.trace(self.o_bb)
+        x_sq = np.vdot(x, x).real
+        tau = complex(np.einsum("ij,ji->", x, x))
+        x_d = complex(np.vdot(x, d))
+        g_xx, g_yy, g_zz = 0.5 * (x_sq + tau.real), 0.5 * (x_sq - tau.real), 0.25 * np.vdot(d, d).real
         g_xy, g_xz, g_yz = 0.5 * tau.imag, 0.5 * x_d.real, -0.5 * x_d.imag
-        return np.array([[g_xx, g_xy, g_xz], [g_xy, g_yy, g_yz], [g_xz, g_yz, g_zz]])
+        g = np.array([[g_xx, g_xy, g_xz], [g_xy, g_yy, g_yz], [g_xz, g_yz, g_zz]])
+        s = np.array([t_ab.real, t_ab.imag, ((t_aa - t_bb) / 2.0).real])
+        return _SpinRecord(complex(t_aa), complex(t_bb), s, np.eye(3) * (self.n_electrons / 4.0) - g)
 
     def validate(self) -> None:
         """Check both Hermiticity residuals and the deviation from the identity.
@@ -541,8 +505,8 @@ def electron_counts(blocks: OverlapBlocks) -> tuple[float, float]:
     Both are generally non-integer for a spin-mixed determinant; their sum is
     the (integer) electron count.
     """
-    t_aa, _, t_bb = blocks._traces
-    return _real(t_aa, "N_alpha"), _real(t_bb, "N_beta")
+    n_alpha, n_beta, _, _ = blocks._record
+    return _real(n_alpha, "N_alpha"), _real(n_beta, "N_beta")
 
 
 def _inverse_sqrt(gram: np.ndarray) -> tuple[np.ndarray, float]:

@@ -11,13 +11,14 @@ Haar measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collinearity import _check_unit
 from .determinant import SpinorDeterminant, lowdin_orthonormalize
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SpincolError
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -34,8 +35,11 @@ class SpinRotation:
     def __post_init__(self):
         axis = _check_unit(self.axis).copy()
         axis.setflags(write=False)
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise SpincolError(f"rotation angle {angle} is not finite")
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "angle", angle)
 
     def su2(self) -> np.ndarray:
         """The 2x2 unitary cos(t/2) I - i sin(t/2) (n . sigma), det = 1."""
@@ -56,18 +60,11 @@ def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
     """Apply the same SU(2) matrix to the (alpha, beta) pair of every spinor.
 
     Nothing here costs O(M·Ne) beyond the constructor's finiteness check.
-    The rotated determinant is built on the sealed coefficient buffer of
-    ``det`` (or, if its coefficients are still pending, of the root of its
-    chain of rotations) without a copy, and keeps the composed SU(2) matrix:
-    its coefficients are mixed by one 2x2 GEMM over that buffer only when
-    first read.  It shares ``det``'s metric array, so it is not validated
-    again, and its overlap blocks are derived from ``det``'s: every spin
-    quantity and both gate values in O(1), from the parent's <S>,
-    compression Gram matrix and gate values mapped by ``rot.so3()``, and the
-    block arrays by one 3x4 mixing GEMM over the block stack at the root of
-    the chain, run only when they are first read (see
-    :meth:`OverlapBlocks._rotated`).  No metric application or block GEMM is
-    repeated.
+    The result keeps the coefficient buffer at the root of ``det``'s chain of
+    rotations, the composed SU(2) matrix and ``det``'s validated metric; its
+    blocks seed the spin record (<S> and A mapped by ``rot.so3()``) and both
+    gate values in O(1).  Coefficients and block arrays are each mixed by one
+    GEMM only when first read (see :meth:`OverlapBlocks._rotated`).
     """
     u = rot.su2()
     return det._rotated(u, det._blocks._rotated(u, rot.so3()))

@@ -1,22 +1,23 @@
 """Spin expectation values and the four-term decomposition of <S^2>.
 
 For a single determinant of orthonormal two-component spinors every spin
-expectation reduces to traces and Frobenius norms of the overlap blocks
-o_aa, o_ab and o_bb, scalars the blocks object caches:
+expectation is a fixed formula of one record the overlap blocks compute
+once: the occupations N_alpha = tr o_aa and N_beta = tr o_bb, the spin
+vector s = <S> and the 3x3 spin covariance matrix A (see
+:mod:`spincol.collinearity`):
 
     <Sz>     = (N_alpha - N_beta) / 2
-    <Sz^2>   = <Sz>^2 + (Ne - ||o_aa - o_bb||_F^2) / 4
-    <S-S+>   = N_beta  + |tr o_ab|^2 - ||o_ab||_F^2
-    <S+S->   = N_alpha + |tr o_ab|^2 - ||o_ab||_F^2
-    <S+>     = tr o_ab
-    <S^2>    = <Sz^2> + (<S+S-> + <S-S+>) / 2
+    <Sz^2>   = <Sz>^2 + A_zz
+    <S-S+>   = A_xx + A_yy + s_x^2 + s_y^2 - s_z
+    <S+S->   = A_xx + A_yy + s_x^2 + s_y^2 + s_z
+    <S+>     = s_x + i s_y
+    <S^2>    = tr A + |s|^2
 
-with N_alpha = tr o_aa and N_beta = tr o_bb.  ``decompose_s2`` regroups
-<S^2> into a restricted-open-shell reference term s(s+1), the variance of Sz
-(z-noncollinearity), a cross-spin overlap deficit (spin contamination), and
-the squared ladder expectation (xy-perpendicularity); the regrouping is an
-exact algebraic identity built from the same |tr o_ab|^2 and ||o_ab||_F^2
-terms.  hbar = 1 throughout.
+``decompose_s2`` splits <S^2> into the restricted-open-shell term s(s+1),
+s = |N_alpha - N_beta| / 2, the z-noncollinearity A_zz, the spin
+contamination A_xx + A_yy - s and the xy-perpendicularity s_x^2 + s_y^2.
+A quantity that must be real gates the imaginary residue of the occupation
+it stands for (N_beta = Ne/2 - s_z in <S-S+>).  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -53,65 +54,60 @@ class S2Decomposition:
 
 def expect_sz(blocks: OverlapBlocks) -> float:
     """<Sz> = (N_alpha - N_beta) / 2."""
-    t_aa, _, t_bb = blocks._traces
-    return _real((t_aa - t_bb) / 2.0, "<Sz>")
-
-
-def _z_noncollinearity(blocks: OverlapBlocks) -> float:
-    return 0.25 * (blocks.n_electrons - blocks._d_norm_sq)
+    n_alpha, n_beta, _, _ = blocks._record
+    return _real((n_alpha - n_beta) / 2.0, "<Sz>")
 
 
 def expect_sz2(blocks: OverlapBlocks) -> float:
-    """<Sz^2> = <Sz>^2 plus the variance of Sz (z-noncollinearity)."""
+    """<Sz^2> = <Sz>^2 plus the variance of Sz, A_zz (z-noncollinearity)."""
     sz = expect_sz(blocks)
-    return sz * sz + _z_noncollinearity(blocks)
+    return sz * sz + float(blocks._record.a[2, 2])
 
 
-def _ladder_exchange(blocks: OverlapBlocks) -> float:
-    """|tr o_ab|^2 - ||o_ab||_F^2, shared by <S-S+> and <S+S->."""
-    return abs(complex(blocks._traces[1])) ** 2 - blocks._x_norm_sq
+def _ladder_square(blocks: OverlapBlocks, sign: float, what: str) -> float:
+    """A_xx + A_yy + s_x^2 + s_y^2 + sign s_z, after gating N_alpha (sign +1) or N_beta as ``what``."""
+    n_alpha, n_beta, s, a = blocks._record
+    _real(n_alpha if sign > 0 else n_beta, what)
+    return float(a[0, 0] + a[1, 1] + s[0] * s[0] + s[1] * s[1] + sign * s[2])
 
 
 def expect_sminus_splus(blocks: OverlapBlocks) -> float:
     """<S-S+>, the squared norm of S+ applied to the determinant."""
-    return _real(blocks._traces[2] + _ladder_exchange(blocks), "<S-S+>")
+    return _ladder_square(blocks, -1.0, "<S-S+>")
 
 
 def expect_splus_sminus(blocks: OverlapBlocks) -> float:
     """<S+S->, the squared norm of S- applied to the determinant."""
-    return _real(blocks._traces[0] + _ladder_exchange(blocks), "<S+S->")
+    return _ladder_square(blocks, 1.0, "<S+S->")
 
 
 def expect_splus(blocks: OverlapBlocks) -> complex:
-    """<S+> = sum_i <phi_i^alpha | phi_i^beta>; generally complex.
-
-    Its real and imaginary parts are <Sx> and <Sy>, and its squared modulus
-    is the xy-perpendicularity contribution to <S^2>.
-    """
-    return complex(blocks._traces[1])
+    """<S+> = sum_i <phi_i^alpha | phi_i^beta> = <Sx> + i <Sy>; its squared modulus is the xy-perpendicularity."""
+    s = blocks._record.s
+    return complex(s[0], s[1])
 
 
 def expect_s2(blocks: OverlapBlocks) -> float:
-    """<S^2> assembled as <Sz^2> + (<S+S-> + <S-S+>) / 2."""
-    return expect_sz2(blocks) + 0.5 * (expect_splus_sminus(blocks) + expect_sminus_splus(blocks))
+    """<S^2> = tr A + |<S>|^2, after the gates of <Sz^2>, <S+S-> and <S-S+>."""
+    n_alpha, n_beta, s, a = blocks._record
+    for value, what in (((n_alpha - n_beta) / 2.0, "<Sz>"), (n_alpha, "<S+S->"), (n_beta, "<S-S+>")):
+        _real(value, what)
+    return float(a.trace() + s @ s)
 
 
 def decompose_s2(blocks: OverlapBlocks) -> S2Decomposition:
     """Split <S^2> into its four additive contributions.
 
-    The alpha/beta labels are ordered by occupation (max/min) so the
-    decomposition stays well defined when N_beta exceeds N_alpha; all four
-    terms are invariant under the swap.
+    s = |N_alpha - N_beta| / 2, so the decomposition stays well defined when
+    N_beta exceeds N_alpha; all four terms are invariant under the swap.
     """
-    t_aa, t_ab, t_bb = blocks._traces
-    n_alpha = _real(t_aa, "N_alpha")
-    n_beta = _real(t_bb, "N_beta")
-    n_min = min(n_alpha, n_beta)
+    n_alpha, n_beta, v, a = blocks._record
+    n_alpha, n_beta = _real(n_alpha, "N_alpha"), _real(n_beta, "N_beta")
     s = abs(n_alpha - n_beta) / 2.0
     rohf_term = s * (s + 1.0)
-    z_noncol = _z_noncollinearity(blocks)
-    contamination = n_min - blocks._x_norm_sq
-    perpendicularity = abs(complex(t_ab)) ** 2
+    z_noncol = float(a[2, 2])
+    contamination = float(a[0, 0] + a[1, 1]) - s
+    perpendicularity = float(v[0] * v[0] + v[1] * v[1])
     return S2Decomposition(
         s_effective=s,
         rohf_term=rohf_term,

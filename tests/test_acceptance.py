@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 All tolerances are pinned here, not configurable.
 """
 
+import itertools
 import json
 import time
 
@@ -132,6 +133,51 @@ def test_criterion_2b_rohf_term_recompute():
     )
     assert lo <= target_hi
     assert target_lo <= hi
+
+
+def _reachable(form, values):
+    """[min, max] of ``form`` over inputs within h of ``values``.
+
+    Each form below is monotone in each input on that box (N_alpha - N_beta
+    stays near 1), so its extremes are at the box's corners.
+    """
+    h = SIX_DECIMAL_HALF_UNIT
+    corners = [form(*(v + d for v, d in zip(values, signs))) for signs in itertools.product((-h, h), repeat=len(values))]
+    return min(corners), max(corners)
+
+
+_A = H2OPLUS_A_MATRIX
+RECORD_FORMS = {
+    "z = A_zz": (H2OPLUS_Z_NONCOLLINEARITY, lambda a_zz: a_zz, (_A[2, 2],)),
+    "contamination = A_xx + A_yy - |Na - Nb|/2": (
+        H2OPLUS_SPIN_CONTAMINATION,
+        lambda a_xx, a_yy, n_a, n_b: a_xx + a_yy - abs(n_a - n_b) / 2.0,
+        (_A[0, 0], _A[1, 1], H2OPLUS_N_ALPHA, H2OPLUS_N_BETA),
+    ),
+    "<S^2> = tr A + s_z^2 + perpendicularity": (
+        H2OPLUS_S2_TOTAL,
+        lambda a_xx, a_yy, a_zz, n_a, n_b, perp: a_xx + a_yy + a_zz + ((n_a - n_b) / 2.0) ** 2 + perp,
+        (_A[0, 0], _A[1, 1], _A[2, 2], H2OPLUS_N_ALPHA, H2OPLUS_N_BETA, H2OPLUS_XY_PERPENDICULARITY),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORD_FORMS))
+def test_criterion_2c_published_values_obey_the_record_forms(name):
+    """The published terms are the record forms of the published A and occupations, to print rounding.
+
+    As in criterion 2b, each printed input may be off by h = 5e-7: the values
+    the form reaches from inputs within h of the printed ones must meet
+    [published - h, published + h].  The bound is the data's print precision
+    and is fixed.
+    """
+    published, form, values = RECORD_FORMS[name]
+    h = SIX_DECIMAL_HALF_UNIT
+    lo, hi = _reachable(form, values)
+    ok = lo <= published + h and published - h <= hi
+    _report("2c", ok, f"{name}: reachable [{lo:.10f}, {hi:.10f}] vs published {published} +- h (h {h:.0e})")
+    assert lo <= published + h
+    assert published - h <= hi
 
 
 def test_criterion_3_oracle_equivalence_sweep():

@@ -461,6 +461,18 @@ def test_analyze_orthonormalize_flag(tmp_path, capsys):
     assert "<S^2>                +0.750000" in capsys.readouterr().out
 
 
+def test_nearly_orthonormal_spinors_fail_the_trace_identity_gate(tmp_path, capsys):
+    # Spinors scaled by sqrt(1 + 4e-9) pass the 1e-8 orthonormality gate, but N_alpha + N_beta
+    # is Ne (1 + 4e-9): <S^2> from the occupations and tr A + |<S>|^2 differ by 8e-9.
+    det = gen_random_gchf(3, 4, seed=8)
+    scale = np.sqrt(1.0 + 4e-9)
+    path = tmp_path / "scaled.json"
+    save_determinant(SpinorDeterminant(3, 4, scale * det.coeff_alpha, scale * det.coeff_beta), path)
+    assert run(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "covariance trace identity gap 8.000e-09 is not within 1e-10" in err
+
+
 def test_orthonormalizing_nearly_dependent_spinors_names_the_gram_eigenvalue(tmp_path, capsys):
     # The last spinor is the first plus 1e-4 noise: Gram lambda_min 4.2e-8, and the
     # orthonormalized residual (about cond(G) eps) is 3.2e-8, above the 1e-8 gate.

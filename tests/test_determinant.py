@@ -29,6 +29,7 @@ from spincol import (
     decompose_s2,
     electron_counts,
     expect_s2,
+    expect_sz2,
     gen_random_gchf,
     orthonormalize,
     spin_vector,
@@ -36,6 +37,7 @@ from spincol import (
     to_identity_metric,
 )
 from spincol.cli import build_report, oracle_rows
+from spincol.collinearity import SpinVector
 
 
 def test_blocks_pure_alpha():
@@ -356,7 +358,6 @@ def test_identity_deviation_is_the_full_matrix_maximum(seed):
         assert det.orthonormality_residual() == expected
 
 
-REDUCTIONS = ("_d_norm_sq", "_x_norm_sq", "_x_trace_sq", "_x_dot_d")
 SEEDED = (*helpers.SEEDED, "_hermiticity_residuals")
 EPS = helpers.EPS
 
@@ -386,39 +387,43 @@ def _run_every_formula(*all_blocks):
             electron_counts(b)
 
 
-def test_each_block_reduction_is_computed_once_when_first_read(monkeypatch):
-    calls = _count_computations(monkeypatch, REDUCTIONS)
+def test_the_record_is_computed_once_when_first_read(monkeypatch):
+    calls = _count_computations(monkeypatch, ("_record",))
     det = helpers.random_metric_determinant(5, 4, seed=11)
     blocks = build_overlap_blocks(det)
-    decompose_s2(blocks)
-    assert {name: len(seen) for name, seen in calls.items()} == {
-        "_d_norm_sq": 1, "_x_norm_sq": 1, "_x_trace_sq": 0, "_x_dot_d": 0
-    }
+    # Validation reads none of it.
+    assert calls == {"_record": []}
     _run_every_formula(blocks)
-    assert calls == {name: [id(blocks)] for name in REDUCTIONS}
+    assert calls == {"_record": [id(blocks)]}
 
 
-def test_d_norm_and_x_dot_d_come_from_one_difference(monkeypatch):
-    # ||D||² and <X, D> share one D = o_aa - o_bb, bit for bit the values of their own
-    # expressions; a rotation seeds both, so its blocks never form D.
-    calls = _count_computations(monkeypatch, ("_d_reductions",))
+def test_the_record_is_the_closed_forms_of_the_blocks_bit_for_bit():
+    # One X = o_ab and one D = o_aa - o_bb give the traces and four reductions; N_alpha,
+    # N_beta, <S>, A, <Sz^2> and the z-noncollinearity come out of the record unchanged.
     det = helpers.random_metric_determinant(6, 5, seed=13)
     blocks = build_overlap_blocks(det)
-    rotated = build_overlap_blocks(su2_rotate(det, SpinRotation([0.6, 0.0, 0.8], 0.7)))
-    _run_every_formula(blocks, rotated)
-    assert calls == {"_d_reductions": [id(blocks)]}
-    # Once ||D||² is read, <X, D> reads no block: it is there with the stack taken away.
-    fresh = build_overlap_blocks(SpinorDeterminant(6, 5, det.coeff_alpha, det.coeff_beta, det.ao_overlap))
-    d = fresh.o_aa - fresh.o_bb
-    expected = float(np.vdot(d, d).real), complex(np.vdot(fresh.o_ab, d))
-    assert fresh._d_norm_sq == expected[0]
-    del fresh.__dict__["_stack"]
-    assert fresh._x_dot_d == expected[1]
+    x, d = blocks.o_ab, blocks.o_aa - blocks.o_bb
+    t_aa, t_ab, t_bb = np.trace(blocks.o_aa), np.trace(x), np.trace(blocks.o_bb)
+    d_sq, x_sq = np.vdot(d, d).real, np.vdot(x, x).real
+    tau, x_d = np.einsum("ij,ji->", x, x), np.vdot(x, d)
+    g = 0.5 * np.array(
+        [
+            [x_sq + tau.real, tau.imag, x_d.real],
+            [tau.imag, x_sq - tau.real, -x_d.imag],
+            [x_d.real, -x_d.imag, 0.5 * d_sq],
+        ]
+    )
+    assert a_matrix(blocks).tobytes() == (np.eye(3) * 1.25 - g).tobytes()
+    sz = ((t_aa - t_bb) / 2.0).real
+    assert electron_counts(blocks) == (t_aa.real, t_bb.real)
+    assert spin_vector(blocks) == SpinVector(t_ab.real, t_ab.imag, sz)
+    assert decompose_s2(blocks).z_noncollinearity == 0.25 * (5 - d_sq)
+    assert expect_sz2(blocks) == sz * sz + 0.25 * (5 - d_sq)
 
 
 def test_rotated_blocks_compute_no_scalar_from_arrays(monkeypatch):
-    # A rotation seeds every scalar from the parent's; none is computed from the rotated arrays,
-    # and each seeded value is within rounding of the one the materialized arrays give.
+    # A rotation seeds the record and the gate values from the parent's; none is computed from
+    # the rotated arrays, and each seeded value is within rounding of the one they give.
     calls = _count_computations(monkeypatch, SEEDED)
     det = helpers.random_metric_determinant(7, 5, seed=11)
     blocks = build_overlap_blocks(det)
@@ -430,7 +435,7 @@ def test_rotated_blocks_compute_no_scalar_from_arrays(monkeypatch):
 
 def test_rotated_blocks_are_not_mixed_along_the_analysis_path():
     # The analyze-large op: the tilted determinant's blocks are validated and decomposed
-    # from seeded scalars, so the 3x4 mixing GEMM never runs and no stack is held.
+    # from the seeded record, so the 3x4 mixing GEMM never runs and no stack is held.
     det = helpers.random_metric_determinant(8, 6, seed=16)
     blocks = build_overlap_blocks(det)
     decompose_s2(blocks)
@@ -495,7 +500,7 @@ def test_a_long_chain_of_rotations_is_mixed_by_one_gemm():
 
 
 def test_rotated_coefficients_are_not_mixed_along_the_analysis_path(monkeypatch):
-    # The analyze-large op and `analyze --align-optimal` read only seeded scalars of the tilted
+    # The analyze-large op and `analyze --align-optimal` read only the seeded record of the tilted
     # determinant, which keeps its parent's buffer and an SU(2) matrix in place of its own.
     det = helpers.random_metric_determinant(8, 6, seed=21)
     blocks = build_overlap_blocks(det)
@@ -625,7 +630,7 @@ def test_orthonormalize_and_oracle_rows_of_a_rotated_determinant_match_a_fresh_c
     rotated = align_to_axis(det, [0.48, 0.6, 0.64])
     metric = None if det.ao_overlap is None else np.array(det.ao_overlap)
     fresh = SpinorDeterminant(4, 3, np.array(rotated.coeff_alpha), np.array(rotated.coeff_beta), metric)
-    # oracle_rows reads only seeded scalars; orthonormalize reads the arrays and mixes them.
+    # oracle_rows reads only the seeded record; orthonormalize reads the arrays and mixes them.
     rows, fresh_rows = oracle_rows(rotated), oracle_rows(fresh)
     assert "_stack" not in rotated._blocks.__dict__
     for (label, formula, oracle, _), (_, want, want_oracle, _) in zip(rows, fresh_rows):

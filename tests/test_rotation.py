@@ -1,5 +1,7 @@
 """Spin-frame rotations, axis alignment, and the determinant generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,15 @@ def test_rotation_axis_must_be_unit():
 def test_rotation_axis_rejects_nan():
     with pytest.raises(NotUnitVector):
         SpinRotation(np.array([np.nan, 0.0, 0.0]), 0.5)
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_rotation_angle_must_be_finite(angle):
+    # cos and sin of a non-finite angle warn and give NaN; the rotation refuses it up front.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpincolError, match=r"rotation angle -?(nan|inf) is not finite"):
+            SpinRotation(Z, angle)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -186,6 +197,64 @@ def test_seeded_scalars_match_after_three_chained_alignments(seed, ne, with_metr
     for rotated in reversed(chain[1:]):
         helpers.check_seeded_against_arrays(rotated._blocks)
     assert build_overlap_blocks(chain[-1]) is chain[-1]._blocks
+
+
+def _class_determinant(kind, with_metric, rng, seed):
+    """A determinant of class ``kind``, over a random metric if asked, and the metric's 2-norm (1 without)."""
+    det = CLASSES[kind](seed)
+    if not with_metric:
+        return det, 1.0
+    metric = helpers.random_pd_metric(rng, det.basis_dim)
+    return helpers.over_metric(det, metric), np.linalg.norm(metric, 2)
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("seed", range(3))
+def test_rotated_record_is_the_parent_record_mapped_by_r(kind, with_metric, seed):
+    # <S>' = R <S> and A' = R A R^T, and both match a determinant built afresh on the
+    # rotated coefficients and a copy of the metric, whose blocks come from GEMMs.
+    rng = np.random.default_rng(800 + seed)
+    det, norm = _class_determinant(kind, with_metric, rng, seed)
+    rot = SpinRotation(helpers.random_unit_vector(rng), rng.uniform(-4.0, 4.0))
+    r = rot.so3()
+    rotated = su2_rotate(det, rot)
+    metric = None if det.ao_overlap is None else np.array(det.ao_overlap)
+    fresh = SpinorDeterminant(det.basis_dim, det.n_electrons, rotated.coeff_alpha, rotated.coeff_beta, metric)
+    parent, seeded, direct = (build_overlap_blocks(d) for d in (det, rotated, fresh))
+    ne = det.n_electrons
+    bound = 16 * ne * EPS * ne * max(1.0, norm)
+    s, s_seeded, s_direct = (spin_vector(b).as_array() for b in (parent, seeded, direct))
+    a, a_seeded, a_direct = (a_matrix(b) for b in (parent, seeded, direct))
+    assert np.max(np.abs(s_seeded - r @ s)) <= bound
+    assert np.max(np.abs(a_seeded - r @ a @ r.T)) <= bound
+    assert np.array_equal(a_seeded, a_seeded.T)
+    assert np.max(np.abs(s_seeded - s_direct)) <= bound
+    assert np.max(np.abs(a_seeded - a_direct)) <= bound
+    assert np.max(np.abs(np.subtract(electron_counts(seeded), electron_counts(direct)))) <= bound
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("seed", range(3))
+def test_aligned_decomposition_is_the_eigen_split_of_a(kind, with_metric, seed):
+    # Along the optimal axis u, with A's eigenvalues l0 <= l1 <= l2: z = col = l0, the spin
+    # contamination is l1 + l2 - |u.s| and the xy-perpendicularity |s|^2 - (u.s)^2.
+    rng = np.random.default_rng(900 + seed)
+    det, _ = _class_determinant(kind, with_metric, rng, seed)
+    det = su2_rotate(det, SpinRotation(helpers.random_unit_vector(rng), rng.uniform(-4.0, 4.0)))
+    blocks = build_overlap_blocks(det)
+    collin = analyze_collinearity(blocks)
+    s = spin_vector(blocks).as_array()
+    u = collin.optimal_axis
+    aligned = decompose_s2(build_overlap_blocks(align_to_axis(det, u)))
+    ne = det.n_electrons
+    bound = 16 * ne * EPS * ne
+    lowest, middle, highest = collin.eigenvalues
+    assert abs(aligned.z_noncollinearity - collin.col) <= bound
+    assert abs(aligned.spin_contamination - (middle + highest - abs(u @ s))) <= bound
+    assert abs(aligned.xy_perpendicularity - (s @ s - (u @ s) ** 2)) <= bound
+    assert abs(aligned.s_effective - abs(u @ s)) <= bound
 
 
 @pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
