@@ -17,9 +17,10 @@ as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
 :func:`build_overlap_blocks` and :func:`orthonormalize`; the spin formulas
 read one record the blocks compute once: N_alpha, N_beta, <S> and the spin
 covariance matrix A.  A derived determinant (rotated or orthonormalized)
-shares its parent's validated metric and derives its blocks from the
-parent's.  A rotation maps the parent's record in O(1) and mixes its
-coefficients and block arrays, each by one GEMM, only when first read.
+shares its parent's validated metric.  A rotation maps the parent's record
+in O(1) and mixes its coefficients, by one GEMM, only when they are first
+read; its block arrays, like any determinant's, are built from its
+coefficients when first read.
 """
 
 from __future__ import annotations
@@ -109,21 +110,6 @@ def _hermiticity_residual(block: np.ndarray) -> float:
     return float(residual)
 
 
-def _sealed_stack(stack: np.ndarray) -> np.ndarray:
-    """``stack`` sealed, after writing o_ab^H (the conjugate transpose of slot 1) into slot 2."""
-    np.conjugate(stack[1].T, out=stack[2])
-    return _sealed(stack)
-
-
-# The stack's slots; the mixing weights' rows are the stored pairs aa, ab and bb (s <= t).
-_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _mixing_weights(u: np.ndarray) -> np.ndarray:
-    """The 3x4 matrix conj(u[s, i]) u[t, j] that mixes the stack into the blocks rotated by ``u``."""
-    return np.array([[u[s, i].conj() * u[t, j] for i, j in _PAIRS] for s, t in _PAIRS if s <= t])
-
-
 def _check_finite(name: str, arr: np.ndarray) -> None:
     """Raise unless every entry of the complex array ``arr`` is finite.
 
@@ -145,23 +131,6 @@ def _checked_coefficients(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _mixed_once(obj, name: str, pending_name: str, mix) -> np.ndarray:
-    """``obj``'s array ``name``, made by ``mix(*pending)`` from its pending rotation ``pending_name``.
-
-    The array is stored before the pending rotation is dropped, so a second
-    thread that gets here (``functools.cached_property`` has no lock on
-    Python 3.12) finds one or the other, and every thread returns the array
-    stored first.
-    """
-    state = obj.__dict__
-    pending = state.get(pending_name)
-    if pending is None:
-        return state[name]
-    value = state.setdefault(name, mix(*pending))
-    state.pop(pending_name, None)
-    return value
-
-
 def _rotated_coefficients(u: np.ndarray, root: np.ndarray) -> np.ndarray:
     """u times the (2, M·Ne) view of the frozen buffer ``root``, one GEMM, sealed and checked.
 
@@ -170,15 +139,6 @@ def _rotated_coefficients(u: np.ndarray, root: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _sealed(u @ root.reshape(2, -1)).reshape(root.shape)
     return _checked_coefficients(coeffs)
-
-
-def _rotated_stack(u: np.ndarray, root: OverlapBlocks) -> np.ndarray:
-    """The stack of ``root``'s blocks rotated by ``u``: one 3x4 mixing GEMM over ``root``'s stack."""
-    ne = root.n_electrons
-    mixed = _mixing_weights(u) @ root._stack.reshape(4, ne * ne)
-    stack = np.empty((4, ne, ne), dtype=np.complex128)
-    stack[0], stack[1], stack[3] = mixed.reshape(3, ne, ne)
-    return _sealed_stack(stack)
 
 
 class _SpinRecord(NamedTuple):
@@ -212,11 +172,28 @@ def _validated_metric(s, m: int) -> np.ndarray:
     return s
 
 
-def _metric_applied(det: "SpinorDeterminant") -> tuple[np.ndarray, np.ndarray]:
-    """S @ coeff_alpha and S @ coeff_beta; the coefficients themselves without a metric."""
-    if det.ao_overlap is None:
-        return det.coeff_alpha, det.coeff_beta
-    return det.ao_overlap @ det.coeff_alpha, det.ao_overlap @ det.coeff_beta
+def _metric_applied(coeffs: np.ndarray, metric: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """S @ C_alpha and S @ C_beta of the (2, M, Ne) ``coeffs``; the coefficients themselves without a metric."""
+    if metric is None:
+        return coeffs[0], coeffs[1]
+    return metric @ coeffs[0], metric @ coeffs[1]
+
+
+def _block_stack(coeffs: np.ndarray, metric: np.ndarray | None) -> np.ndarray:
+    """[o_aa, o_ab, o_bb] of the (2, M, Ne) ``coeffs``, sealed: one metric application and three GEMMs into one stack.
+
+    Overflow is not warned about here; it leaves a non-finite product
+    that the orthonormality gate, or :func:`orthonormalize`, reports.
+    """
+    ne = coeffs.shape[2]
+    stack = np.empty((3, ne, ne), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sa, sb = _metric_applied(coeffs, metric)
+        ca_h, cb_h = (c.T for c in coeffs.conj())
+        np.matmul(ca_h, sa, out=stack[0])
+        np.matmul(ca_h, sb, out=stack[1])
+        np.matmul(cb_h, sb, out=stack[2])
+    return _sealed(stack)
 
 
 class SpinorDeterminant:
@@ -238,7 +215,7 @@ class SpinorDeterminant:
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
     sets can be represented and passed to :func:`orthonormalize`.  The
-    overlap blocks (4·Ne² complex numbers) are kept for its lifetime.
+    overlap blocks (3·Ne² complex numbers) are kept for its lifetime.
     """
 
     def __init__(self, basis_dim: int, n_electrons: int, coeff_alpha, coeff_beta, ao_overlap=None):
@@ -288,9 +265,10 @@ class SpinorDeterminant:
         Only a rotated determinant computes it here, by one 2x2 GEMM over the
         buffer at the root of its chain of rotations, checked for finiteness
         as the constructor checks its input; every other determinant is given
-        its buffer when it is made.
+        its buffer when it is made.  It is stored, then returned, so threads
+        that get here at once (no lock on Python 3.12) return the same buffer.
         """
-        return _mixed_once(self, "_coeffs", "_rotation", _rotated_coefficients)
+        return self.__dict__.setdefault("_coeffs", _rotated_coefficients(*self._rotation))
 
     coeff_alpha = property(lambda self: self._coeffs[0], doc="Alpha components, one spinor per column (read-only).")
     coeff_beta = property(lambda self: self._coeffs[1], doc="Beta components, one spinor per column (read-only).")
@@ -299,37 +277,27 @@ class SpinorDeterminant:
         """Coefficients as one read-only 2M x Ne matrix, alpha rows on top (a view, no copy)."""
         return self._coeffs.reshape(2 * self.basis_dim, self.n_electrons)
 
-    def _rotated(self, u: np.ndarray, blocks: OverlapBlocks) -> SpinorDeterminant:
-        """This determinant with every spinor rotated by the SU(2) matrix ``u``; ``blocks`` are its products.
+    def _rotated(self, u: np.ndarray, r: np.ndarray) -> SpinorDeterminant:
+        """This determinant with every spinor rotated by the SU(2) matrix ``u``, whose SO(3) image is ``r``.
 
         The constructor checks the buffer at the root of this determinant's
-        chain of rotations (its own, unless its coefficients are still
-        pending), which the result keeps with the composed matrix u u_0
-        instead of a mixed buffer: its coefficients wait until they are read,
-        and those of any chain of rotations take one GEMM.
+        chain of rotations (its own, unless it is rotated itself), which the
+        result keeps with the composed matrix u u_0 instead of a mixed
+        buffer: its coefficients wait until they are read, and those of any
+        chain of rotations take one GEMM.  Its blocks are seeded from this
+        determinant's (:meth:`OverlapBlocks._rotated`).
         """
         pending = self.__dict__.get("_rotation")
-        u, root = (u, self._coeffs) if pending is None else (u @ pending[0], pending[1])
-        rotated = _derived(self, root, blocks)
-        rotated.__dict__["_rotation"] = (u, rotated.__dict__.pop("_coeffs"))
+        rotation = (u, self._coeffs) if pending is None else (u @ pending[0], pending[1])
+        rotated = _derived(self, rotation[1])
+        del rotated.__dict__["_coeffs"]
+        rotated.__dict__.update(_rotation=rotation, _blocks=self._blocks._rotated(u, r, rotation, self.ao_overlap))
         return rotated
 
     @functools.cached_property
     def _blocks(self) -> OverlapBlocks:
-        """The overlap blocks: one metric application and three GEMMs, written into one stack.
-
-        Overflow is not warned about here; it leaves a non-finite product
-        that the orthonormality gate, or :func:`orthonormalize`, reports.
-        """
-        ne = self.n_electrons
-        stack = np.empty((4, ne, ne), dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sa, sb = _metric_applied(self)
-            ca_h, cb_h = (c.T for c in self._coeffs.conj())
-            np.matmul(ca_h, sa, out=stack[0])
-            np.matmul(ca_h, sb, out=stack[1])
-            np.matmul(cb_h, sb, out=stack[3])
-        return OverlapBlocks._of_stack(stack)
+        """The overlap blocks, built on first use; a rotated determinant is given its blocks when it is made."""
+        return OverlapBlocks._of_stack(_block_stack(self._coeffs, self.ao_overlap))
 
     def orthonormality_residual(self) -> float:
         """Max absolute deviation of the spinor Gram matrix from identity."""
@@ -344,69 +312,71 @@ class OverlapBlocks:
     identity.  :func:`build_overlap_blocks` returns the determinant's own
     blocks, validated.  A blocks object is immutable.
 
-    The blocks are read-only views of one frozen (4, Ne, Ne) stack
-    [o_aa, o_ab, o_ba, o_bb], the operand of the SU(2) mixing GEMM.  A
-    determinant's blocks are computed into such a stack; blocks built by
-    hand are copied into one (so a caller's writeable array stays its own).
-    What the spin formulas read is one record, computed once, when first
-    read (:meth:`_record`).  Blocks of a rotated determinant
+    The blocks are read-only views of one frozen (3, Ne, Ne) stack
+    [o_aa, o_ab, o_bb], and ``o_ba`` is computed from ``o_ab`` when first
+    read.  A determinant's blocks are computed into such a stack; blocks
+    built by hand are copied into one (so a caller's writeable array stays
+    its own).  What the spin formulas read is one record, computed once,
+    when first read (:meth:`_record`).  Blocks of a rotated determinant
     (:meth:`_rotated`) get it, and both gate values, from the parent's in
-    O(1); their stack is mixed, from the stack of the first determinant in
-    their chain of rotations, only when first read.
+    O(1), and build their stack like any determinant's when first read.
     """
 
     def __init__(self, o_aa, o_ab, o_bb):
         blocks = [np.asarray(block) for block in (o_aa, o_ab, o_bb)]
-        ne = blocks[0].shape[0]
+        ne = blocks[0].shape[0] if blocks[0].ndim == 2 else 0
         for name, block in zip(("o_aa", "o_ab", "o_bb"), blocks):
-            if block.shape != (ne, ne):
-                raise DimensionMismatch(f"{name} must be {ne}x{ne}")
-        stack = np.empty((4, ne, ne), dtype=np.complex128)
-        stack[0], stack[1], stack[3] = blocks
-        self.__dict__.update(n_electrons=ne, _stack=_sealed_stack(stack))
+            if ne < 1 or block.shape != (ne, ne):
+                want = f"{ne}x{ne}" if ne else "a square matrix with at least one row"
+                raise DimensionMismatch(f"{name} must be {want}, got shape {block.shape}")
+        self.__dict__.update(n_electrons=ne, _stack=_sealed(np.array(blocks, dtype=np.complex128)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"OverlapBlocks is immutable; cannot set {name!r}")
 
     @classmethod
     def _of_stack(cls, stack: np.ndarray) -> OverlapBlocks:
-        """Blocks that are views of ``stack`` (o_aa, o_ab and o_bb in slots 0, 1 and 3), which they keep."""
+        """Blocks that are views of the sealed (3, Ne, Ne) ``stack`` [o_aa, o_ab, o_bb], which they keep."""
         blocks = cls.__new__(cls)
-        blocks.__dict__.update(n_electrons=stack.shape[1], _stack=_sealed_stack(stack))
+        blocks.__dict__.update(n_electrons=stack.shape[1], _stack=stack)
         return blocks
 
     @functools.cached_property
     def _stack(self) -> np.ndarray:
-        """[o_aa, o_ab, o_ba, o_bb] as one frozen (4, Ne, Ne) array.
+        """[o_aa, o_ab, o_bb] as one frozen (3, Ne, Ne) array.
 
-        Only rotated blocks compute it here, by one 3x4 mixing GEMM over the
-        stack of the blocks at the root of their chain of rotations; every
-        other blocks object is given its stack when it is made.
+        Only rotated blocks build it here, as any determinant's, from the metric
+        and their rotation's coefficients (mixed again), and store it before
+        returning it; every other blocks object is given its stack when made.
         """
-        return _mixed_once(self, "_stack", "_mixing", _rotated_stack)
+        rotation, metric = self._source
+        return self.__dict__.setdefault("_stack", _block_stack(_rotated_coefficients(*rotation), metric))
 
     o_aa = property(lambda self: self._stack[0], doc="<phi_i^alpha | phi_j^alpha>, slot 0 of the stack.")
     o_ab = property(lambda self: self._stack[1], doc="<phi_i^alpha | phi_j^beta>, slot 1 of the stack.")
-    o_ba = property(lambda self: self._stack[2], doc="o_ab^H, slot 2 of the stack.")
-    o_bb = property(lambda self: self._stack[3], doc="<phi_i^beta | phi_j^beta>, slot 3 of the stack.")
+    o_bb = property(lambda self: self._stack[2], doc="<phi_i^beta | phi_j^beta>, slot 2 of the stack.")
 
-    def _rotated(self, u: np.ndarray, r: np.ndarray) -> OverlapBlocks:
+    @functools.cached_property
+    def o_ba(self) -> np.ndarray:
+        """o_ab^H, computed when first read (read-only)."""
+        return _sealed(self.o_ab.T.conj())
+
+    def _rotated(self, u: np.ndarray, r: np.ndarray, rotation: tuple, metric: np.ndarray | None) -> OverlapBlocks:
         """The blocks after every spinor is rotated by the SU(2) matrix ``u``, whose SO(3) image is ``r``.
 
-        Their arrays, o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij, wait until read,
-        then take one 3x4 mixing GEMM over the stack at the root of the chain
-        of rotations, whose matrices compose.  What is read is seeded in O(1):
+        They keep the rotated determinant's pending ``rotation`` (u u_0, root
+        buffer) and ``metric``, not the determinant, to build their arrays
+        when first read (:attr:`_stack`).  What is read is seeded in O(1):
 
         - the record: <S>' = r <S>, A' = r A r^T and, as N_alpha + N_beta is
           unchanged, N'_alpha and N'_beta = (N_alpha + N_beta) / 2 ± <Sz>';
         - the identity deviation, as o'_aa + o'_bb = o_aa + o_bb;
-        - each Hermiticity residual's bound |u[s, 0]|² r_aa + |u[s, 1]|² r_bb,
-          as o'_ss - o'_ss^H = sum_i |u[s, i]|² (o_ii - o_ii^H) when o_ba is exactly o_ab^H.
+        - each Hermiticity residual's bound |u[s, 0]|² r_aa + |u[s, 1]|² r_bb:
+          o'_ss = sum_ij conj(u[s, i]) u[s, j] o_ij, and the cross terms of
+          o'_ss - o'_ss^H cancel as o_ba = o_ab^H.
 
         A non-finite parent value carries through as NaN or infinity, so the gates still fail.
         """
-        pending = self.__dict__.get("_mixing")
-        mixing = (u, self) if pending is None else (u @ pending[0], pending[1])
         with np.errstate(over="ignore", invalid="ignore"):
             n_alpha, n_beta, s, a = self._record
             s, a = r @ s, r @ a @ r.T
@@ -418,7 +388,7 @@ class OverlapBlocks:
         rotated = OverlapBlocks.__new__(OverlapBlocks)
         rotated.__dict__.update(
             n_electrons=self.n_electrons,
-            _mixing=mixing,
+            _source=(rotation, metric),
             _record=record,
             _identity_deviation=self._identity_deviation,
             _hermiticity_residuals=residuals,
@@ -466,7 +436,7 @@ class OverlapBlocks:
         """Check both Hermiticity residuals and the deviation from the identity.
 
         Every blocks object is square by construction; a rotated one checks
-        the values it was seeded with, so its arrays are not mixed here.
+        the values it was seeded with, so its arrays are not built here.
         """
         for name, residual in self._hermiticity_residuals.items():
             check_within(
@@ -529,15 +499,14 @@ def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return columns @ _inverse_sqrt(gram)[0]
 
 
-def _derived(parent: SpinorDeterminant, coeffs: np.ndarray, blocks: OverlapBlocks) -> SpinorDeterminant:
+def _derived(parent: SpinorDeterminant, coeffs: np.ndarray) -> SpinorDeterminant:
     """A determinant on ``parent``'s basis with the sealed (2, M, Ne) coefficients ``coeffs``.
 
-    It keeps ``coeffs`` as its buffer without a copy, shares ``parent``'s
-    already validated metric array and takes ``blocks`` as its products
-    (derived exactly from the parent's).
+    It keeps ``coeffs`` as its buffer without a copy and shares ``parent``'s
+    already validated metric.
     """
     det = SpinorDeterminant(parent.basis_dim, parent.n_electrons, *coeffs)
-    det.__dict__.update(ao_overlap=parent.ao_overlap, _blocks=blocks)
+    det.__dict__["ao_overlap"] = parent.ao_overlap
     return det
 
 
@@ -564,10 +533,8 @@ def orthonormalize(det: SpinorDeterminant) -> SpinorDeterminant:
     inv_sqrt, lowest = _inverse_sqrt(gram)
     m, ne = det.basis_dim, det.n_electrons
     coeffs = _sealed(det.stacked() @ inv_sqrt).reshape(2, m, ne)
-    stack = np.empty((4, ne, ne), dtype=np.complex128)
-    for k, o in zip((0, 1, 3), (blocks.o_aa, blocks.o_ab, blocks.o_bb)):
-        np.matmul(inv_sqrt @ o, inv_sqrt, out=stack[k])
-    ortho = _derived(det, coeffs, OverlapBlocks._of_stack(stack))
+    ortho = _derived(det, coeffs)
+    ortho.__dict__["_blocks"] = OverlapBlocks._of_stack(_sealed(inv_sqrt @ blocks._stack @ inv_sqrt))
     check_within(
         ortho._blocks._identity_deviation,
         ORTHONORMALITY_INPUT_TOL,

@@ -61,13 +61,14 @@ def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
 
     Nothing here costs O(M·Ne) beyond the constructor's finiteness check.
     The result keeps the coefficient buffer at the root of ``det``'s chain of
-    rotations, the composed SU(2) matrix and ``det``'s validated metric; its
+    rotations, the composed SU(2) matrix and ``det``'s validated metric, and
+    mixes its coefficients by one GEMM only when they are first read.  Its
     blocks seed the spin record (<S> and A mapped by ``rot.so3()``) and both
-    gate values in O(1).  Coefficients and block arrays are each mixed by one
-    GEMM only when first read (see :meth:`OverlapBlocks._rotated`).
+    gate values in O(1) (see :meth:`OverlapBlocks._rotated`); their arrays
+    are built from the rotated coefficients, as any determinant's are, only
+    when first read.
     """
-    u = rot.su2()
-    return det._rotated(u, det._blocks._rotated(u, rot.so3()))
+    return det._rotated(rot.su2(), rot.so3())
 
 
 def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:

@@ -74,12 +74,13 @@ def x_polarized_one_electron():
 
 
 def check_seeded_against_arrays(blocks):
-    """Everything a rotation seeded on ``blocks`` is within rounding of the value its mixed arrays give.
+    """Everything a rotation seeded on ``blocks`` is within rounding of the value its arrays give.
 
-    Reading the arrays mixes them; the seeded values stay cached.  Each entry
+    Reading the arrays builds them; the seeded values stay cached.  Each entry
     of the record (N_alpha, N_beta, <S>, A) and the identity deviation may
     differ by 16·Ne·eps·Ne, and each Hermiticity bound must cover the
-    measured residual to within Ne·eps.
+    measured residual to within 16·Ne·eps: the arrays are built from the
+    rotated coefficients, so their residual carries GEMM rounding of its own.
     """
     seeded = {name: blocks.__dict__[name] for name in (*SEEDED, "_hermiticity_residuals")}
     ne = blocks.n_electrons
@@ -90,4 +91,4 @@ def check_seeded_against_arrays(blocks):
             assert np.max(np.abs(np.subtract(value, want))) <= 16 * ne * EPS * ne, name
     measured = OverlapBlocks.__dict__["_hermiticity_residuals"].func(blocks)
     for name, residual in measured.items():
-        assert seeded["_hermiticity_residuals"][name] >= residual - ne * EPS, name
+        assert seeded["_hermiticity_residuals"][name] >= residual - 16 * ne * EPS, name

@@ -714,9 +714,9 @@ def test_analyze_applies_the_metric_once(tmp_path, capsys, monkeypatch):
     calls = []
     original = spincol.determinant._metric_applied
 
-    def counting(det):
-        calls.append(det)
-        return original(det)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(spincol.determinant, "_metric_applied", counting)
     for flags in ([], ["--orthonormalize"]):

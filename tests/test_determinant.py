@@ -1,9 +1,11 @@
 """Determinant model: overlap blocks, occupation traces, orthonormalization."""
 
 import copy
+import gc
 import pickle
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -328,6 +330,16 @@ def test_hand_built_blocks_of_the_wrong_shape_are_rejected():
         OverlapBlocks(o_aa=good.o_aa[:, :1], o_ab=good.o_ab, o_bb=good.o_bb)
 
 
+@pytest.mark.parametrize(
+    "block", [1.0, np.ones(3), np.zeros((0, 0)), np.ones((2, 3))], ids=["scalar", "1-d", "0x0", "non-square"]
+)
+def test_hand_built_blocks_must_be_square_with_at_least_one_electron(block):
+    # Each raises the typed error naming o_aa: not an IndexError, nor a 0x0 stack that
+    # validate() or the spin formulas would fail on, or report zeros for.
+    with pytest.raises(DimensionMismatch, match="o_aa must be"):
+        OverlapBlocks(block, block, block)
+
+
 @pytest.mark.parametrize("ne", [1, 63, 64, 65, 200])
 def test_panel_hermiticity_residual_is_the_full_matrix_maximum(ne):
     rng = np.random.default_rng(ne)
@@ -359,7 +371,6 @@ def test_identity_deviation_is_the_full_matrix_maximum(seed):
 
 
 SEEDED = (*helpers.SEEDED, "_hermiticity_residuals")
-EPS = helpers.EPS
 
 
 def _count_computations(monkeypatch, names):
@@ -433,33 +444,46 @@ def test_rotated_blocks_compute_no_scalar_from_arrays(monkeypatch):
     helpers.check_seeded_against_arrays(rotated)
 
 
-def test_rotated_blocks_are_not_mixed_along_the_analysis_path():
-    # The analyze-large op: the tilted determinant's blocks are validated and decomposed
-    # from the seeded record, so the 3x4 mixing GEMM never runs and no stack is held.
-    det = helpers.random_metric_determinant(8, 6, seed=16)
+def _count_calls(monkeypatch, name) -> list:
+    """Record the first argument of every call of the module function ``spincol.determinant.<name>``."""
+    calls, original = [], getattr(spincol.determinant, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(spincol.determinant, name, counting)
+    return calls
+
+
+def test_the_tilted_determinant_builds_no_blocks_and_mixes_no_coefficients(monkeypatch):
+    # The analyze-large op and `analyze --align-optimal` read only the tilted determinant's seeded
+    # record: the one block build is the input's, and no coefficient is mixed.
+    rng = np.random.default_rng(16)
+    det = helpers.over_metric(gen_random_gchf(8, 6, seed=16), helpers.random_pd_metric(rng, 8))
+    builds = _count_calls(monkeypatch, "_block_stack")
+    mixes = _count_calls(monkeypatch, "_rotated_coefficients")
     blocks = build_overlap_blocks(det)
     decompose_s2(blocks)
+    spin_vector(blocks)
     tilted = align_to_axis(det, analyze_collinearity(blocks).optimal_axis)
-    rotated = build_overlap_blocks(tilted)
-    decompose_s2(rotated)
-    assert "_stack" not in rotated.__dict__ and "_mixing" in rotated.__dict__
-    # The first read of a block runs the GEMM once and lets go of the parent.
-    assert rotated.o_aa.shape == (6, 6)
-    assert "_stack" in rotated.__dict__ and "_mixing" not in rotated.__dict__
+    decompose_s2(build_overlap_blocks(tilted))
+    build_report(det, "det.json", "0" * 64, align_optimal=True)
+    assert len(builds) == 1 and builds[0] is det._coeffs and mixes == []
+    # Reading a block builds the tilted determinant's own, after mixing its coefficients once.
+    assert tilted._blocks.o_aa.shape == (6, 6)
+    assert len(builds) == 2 and len(mixes) == 1
+    assert builds[1].tobytes() == tilted._coeffs.tobytes()
 
 
 def test_a_reader_that_missed_the_stored_stack_returns_it():
-    # Two threads reading a pending block both run the stack's getter (no lock on Python 3.12).
+    # Two threads reading a rotated block both run the stack's getter (no lock on Python 3.12).
     det = helpers.random_metric_determinant(6, 5, seed=18)
-    mix = OverlapBlocks.__dict__["_stack"].func
+    build = OverlapBlocks.__dict__["_stack"].func
     rotated = build_overlap_blocks(align_to_axis(det, [0.6, 0.0, 0.8]))
-    pending = rotated.__dict__["_mixing"]
-    first = mix(rotated)
-    # One that starts after the other dropped the pending rotation...
-    assert "_mixing" not in rotated.__dict__ and mix(rotated) is first
-    # ... and one that read it before, then mixed its own copy.
-    rotated.__dict__["_mixing"] = pending
-    assert mix(rotated) is first and "_mixing" not in rotated.__dict__
+    first = build(rotated)
+    # One that built its own stack after the other stored one returns the stored stack.
+    assert build(rotated) is first
     assert rotated.o_aa.base is first.base
 
 
@@ -484,19 +508,23 @@ def test_threads_reading_one_pending_block_share_its_stack():
     assert all(np.array_equal(o_aa, rotated.o_aa) for o_aa in seen)
 
 
-def test_a_long_chain_of_rotations_is_mixed_by_one_gemm():
-    # Each rotation of pending blocks composes its SU(2) matrix with the pending one, so
-    # the last blocks of the chain are mixed straight from the first determinant's stack.
-    rng = np.random.default_rng(20)
-    det = helpers.random_metric_determinant(5, 4, seed=20)
-    rotated = det
-    for _ in range(1500):
-        rotated = su2_rotate(rotated, SpinRotation(helpers.random_unit_vector(rng), rng.uniform(-4.0, 4.0)))
-    blocks = rotated._blocks
-    assert blocks.__dict__["_mixing"][1] is det._blocks
-    fresh = SpinorDeterminant(5, 4, rotated.coeff_alpha, rotated.coeff_beta, np.array(det.ao_overlap))
-    for name in ("o_aa", "o_ab", "o_ba", "o_bb"):
-        assert np.max(np.abs(getattr(blocks, name) - getattr(fresh._blocks, name))) <= 1e-11, name
+def test_a_dropped_rotated_determinant_is_freed_without_the_collector():
+    # A rotated determinant and its blocks hold no reference to each other in a cycle:
+    # reference counting frees both, read or not, while the cyclic collector is off.
+    det = helpers.random_metric_determinant(6, 5, seed=22)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for read in (False, True):
+            rotated = align_to_axis(align_to_axis(det, [0.6, 0.0, 0.8]), [0.0, 0.6, 0.8])
+            if read:
+                assert build_overlap_blocks(rotated).o_ba.shape == (5, 5) and rotated.stacked().shape == (12, 5)
+            refs = [weakref.ref(rotated), weakref.ref(rotated._blocks)]
+            del rotated
+            assert [ref() for ref in refs] == [None, None], read
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_rotated_coefficients_are_not_mixed_along_the_analysis_path(monkeypatch):
@@ -521,9 +549,9 @@ def test_rotated_coefficients_are_not_mixed_along_the_analysis_path(monkeypatch)
         assert "_coeffs" not in rotated.__dict__ and "_rotation" in rotated.__dict__
         u, root = rotated.__dict__["_rotation"]
         assert root.base is det.stacked().base
-    # The first read mixes them by one GEMM and lets go of the pending rotation.
+    # The first read mixes them by one GEMM and stores them; the rotation is kept for the next one.
     assert tilted.stacked().tobytes() == (u @ det.stacked().reshape(2, -1)).reshape(16, 6).tobytes()
-    assert "_coeffs" in tilted.__dict__ and "_rotation" not in tilted.__dict__
+    assert "_coeffs" in tilted.__dict__ and tilted.__dict__["_rotation"][1] is root
 
 
 def test_a_long_chain_of_rotated_coefficients_is_mixed_by_one_gemm(monkeypatch):
@@ -600,15 +628,9 @@ def test_rotating_a_non_hermitian_parent_still_fails_validation(tampered):
     det.__dict__["_blocks"] = OverlapBlocks(**parts)
     for u in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.48, 0.6, 0.64]):
         rotated = align_to_axis(det, u)
+        # The gate checks the bounds seeded from the parent's residuals, not arrays built afresh.
         with pytest.raises(NonHermitianResult, match="Hermiticity residual"):
             build_overlap_blocks(rotated)
-        # Each seeded bound covers the residual of the mixed arrays, which fail the same gate.
-        blocks = rotated._blocks
-        mixed = OverlapBlocks(blocks.o_aa, blocks.o_ab, blocks.o_bb)
-        for name, residual in mixed._hermiticity_residuals.items():
-            assert blocks._hermiticity_residuals[name] >= residual - 3 * EPS, (u, name)
-        with pytest.raises(NonHermitianResult, match="Hermiticity residual"):
-            mixed.validate()
 
 
 def test_rotating_an_overflowing_parent_still_fails_orthonormality():
@@ -630,7 +652,7 @@ def test_orthonormalize_and_oracle_rows_of_a_rotated_determinant_match_a_fresh_c
     rotated = align_to_axis(det, [0.48, 0.6, 0.64])
     metric = None if det.ao_overlap is None else np.array(det.ao_overlap)
     fresh = SpinorDeterminant(4, 3, np.array(rotated.coeff_alpha), np.array(rotated.coeff_beta), metric)
-    # oracle_rows reads only the seeded record; orthonormalize reads the arrays and mixes them.
+    # oracle_rows reads only the seeded record; orthonormalize reads the arrays and builds them.
     rows, fresh_rows = oracle_rows(rotated), oracle_rows(fresh)
     assert "_stack" not in rotated._blocks.__dict__
     for (label, formula, oracle, _), (_, want, want_oracle, _) in zip(rows, fresh_rows):
@@ -647,11 +669,12 @@ def test_orthonormalize_and_oracle_rows_of_a_rotated_determinant_match_a_fresh_c
 def test_determinant_blocks_are_views_of_one_stack():
     blocks = build_overlap_blocks(helpers.random_metric_determinant(5, 4, seed=12))
     stack = blocks._stack
-    assert stack.shape == (4, 4, 4) and not stack.flags.writeable
-    for k, name in enumerate(("o_aa", "o_ab", "o_ba", "o_bb")):
+    assert stack.shape == (3, 4, 4) and not stack.flags.writeable
+    for k, name in enumerate(("o_aa", "o_ab", "o_bb")):
         assert getattr(blocks, name).__array_interface__ == stack[k].__array_interface__
-    # o_ba is the exact conjugate transpose of o_ab, bit for bit.
+    # o_ba is the exact conjugate transpose of o_ab, bit for bit, computed once and read-only.
     assert blocks.o_ba.tobytes() == np.ascontiguousarray(blocks.o_ab.conj().T).tobytes()
+    assert blocks.o_ba is blocks.o_ba and not blocks.o_ba.flags.writeable
 
 
 def test_constructor_copies_writeable_coefficients_into_one_buffer():

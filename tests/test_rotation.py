@@ -152,8 +152,8 @@ DIRECTIONS = {
 @pytest.mark.parametrize("direction", sorted(DIRECTIONS))
 @pytest.mark.parametrize("seed", range(3))
 def test_seeded_rotated_blocks_match_direct(kind, with_metric, direction, seed):
-    # su2_rotate derives the rotated products from the parent's; a determinant built
-    # on the same coefficients and a fresh copy of the metric computes them by GEMM.
+    # su2_rotate seeds the rotated record and gate values from the parent's; the arrays
+    # match those of a determinant built on the same coefficients and a copy of the metric.
     rng = np.random.default_rng(700 + seed)
     det = CLASSES[kind](seed)
     norm = 1.0
@@ -193,7 +193,7 @@ def test_seeded_scalars_match_after_three_chained_alignments(seed, ne, with_metr
     chain = [det]
     for _ in range(3):
         chain.append(align_to_axis(chain[-1], helpers.random_unit_vector(rng)))
-    # Each is mixed straight from the first determinant's stack, in any order.
+    # Each builds its arrays from its own coefficients, in any order.
     for rotated in reversed(chain[1:]):
         helpers.check_seeded_against_arrays(rotated._blocks)
     assert build_overlap_blocks(chain[-1]) is chain[-1]._blocks
@@ -260,7 +260,8 @@ def test_aligned_decomposition_is_the_eigen_split_of_a(kind, with_metric, seed):
 @pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
 @pytest.mark.parametrize("ne", [1, 5, 70])
 def test_rotated_blocks_are_the_mixing_weights_times_the_block_stack(with_metric, ne):
-    # o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij over the stack [o_aa, o_ab, o_ab^H, o_bb], bit for bit.
+    # o'_st = sum_ij conj(u[s, i]) u[t, j] o_ij over the stack [o_aa, o_ab, o_ab^H, o_bb], to rounding:
+    # the rotated blocks are built from the rotated coefficients, not mixed from the parent's.
     rng = np.random.default_rng(400 + ne)
     det = gen_random_gchf(40, ne, seed=ne)
     if with_metric:
@@ -280,8 +281,27 @@ def test_rotated_blocks_are_the_mixing_weights_times_the_block_stack(with_metric
     rotated = su2_rotate(det, rot)
     blocks = build_overlap_blocks(rotated)
     for k, name in enumerate(("o_aa", "o_ab", "o_bb")):
-        assert getattr(blocks, name).tobytes() == expected[k].tobytes(), name
+        assert np.max(np.abs(getattr(blocks, name) - expected[k])) <= 16 * ne * EPS, name
     assert np.array_equal(rotated.stacked(), (u @ det.stacked().reshape(2, -1)).reshape(80, ne))
+
+
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("chain", [1, 3, 1500])
+def test_rotated_blocks_are_a_fresh_determinants_bit_for_bit(with_metric, chain):
+    # A rotated determinant's blocks are built from its coefficients by the code that builds every
+    # determinant's, so they equal those of a fresh determinant on the same coefficients and metric.
+    rng = np.random.default_rng(500 + chain)
+    det = gen_random_gchf(12, 7, seed=chain)
+    if with_metric:
+        det = helpers.over_metric(det, helpers.random_pd_metric(rng, 12))
+    rotated = det
+    for _ in range(chain):
+        rotated = su2_rotate(rotated, SpinRotation(helpers.random_unit_vector(rng), rng.uniform(-4.0, 4.0)))
+    metric = None if det.ao_overlap is None else np.array(det.ao_overlap)
+    fresh = SpinorDeterminant(12, 7, np.array(rotated.coeff_alpha), np.array(rotated.coeff_beta), metric)
+    blocks, fresh_blocks = build_overlap_blocks(rotated), build_overlap_blocks(fresh)
+    for name in ("o_aa", "o_ab", "o_ba", "o_bb"):
+        assert getattr(blocks, name).tobytes() == getattr(fresh_blocks, name).tobytes(), name
 
 
 def test_rotated_blocks_and_coefficients_are_sealed():
