@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinant import OverlapBlocks
+from .determinant import OverlapBlocks, _numbers
 from .errors import NotSymmetric, NotUnitVector, check_within
 from .spin import expect_splus, expect_sz
 
@@ -99,7 +99,7 @@ def a_matrix(blocks: OverlapBlocks) -> np.ndarray:
 
 
 def _check_unit(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+    u = _numbers(u, "direction", NotUnitVector, real=True).astype(float, copy=False)
     if u.shape != (3,):
         raise NotUnitVector(f"direction must be a 3-vector, got shape {u.shape}")
     norm = float(np.linalg.norm(u))
@@ -132,10 +132,10 @@ def min_collinearity(a) -> CollinearityResult:
     then of e_y, is used instead.  A fully degenerate A thus gives z, and an
     eigenspace equal to the xy-plane gives x.
 
-    Raises ``NotSymmetric`` if ``a`` deviates from symmetry beyond 1e-10 or
-    has a non-finite entry.
+    Raises ``NotSymmetric`` if ``a`` is not a real 3x3 matrix, deviates from
+    symmetry beyond 1e-10 or has a non-finite entry.
     """
-    a = np.asarray(a, dtype=float)
+    a = _numbers(a, "A", NotSymmetric, real=True).astype(float, copy=False)
     if a.shape != (3, 3):
         raise NotSymmetric(f"expected a 3x3 matrix, got shape {a.shape}")
     # A non-finite entry makes the asymmetry NaN, which fails the gate.

@@ -18,14 +18,15 @@ as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
 read one record the blocks compute once: N_alpha, N_beta, <S> and the spin
 covariance matrix A.  A derived determinant (rotated or orthonormalized)
 shares its parent's validated metric.  A rotation maps the parent's record
-in O(1) and mixes its coefficients, by one GEMM, only when they are first
-read; its block arrays, like any determinant's, are built from its
-coefficients when first read.
+in O(1) and mixes its coefficients from the parent's, by one GEMM, only when
+they are first read; its block arrays, like any determinant's, are built
+from its coefficients when first read.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -48,9 +49,21 @@ METRIC_MIN_EIGENVALUE = 1e-10
 GRAM_MIN_EIGENVALUE = 1e-12
 # Quantities that must be real are checked, never silently truncated.
 IMAG_TOL = 1e-12
-# Rows per panel of the Hermiticity residual: a 64-row panel of an Ne x Ne
-# block and the matching column panel stay in cache together.
-_PANEL = 64
+
+
+def _numbers(value, what: str, error: type[SpincolError] = DimensionMismatch, real: bool = False) -> np.ndarray:
+    """``value`` as a numpy array (no copy where numpy allows), after checking that it holds only numbers.
+
+    Ragged nesting, strings, ``None`` and other objects raise ``error``
+    naming ``what``; so does a complex entry when ``real`` is set.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.dtype.kind not in ("biuf" if real else "biufc"):
+        raise error(f"{what} must hold {'real ' if real else ''}numbers only")
+    return arr
 
 
 def _sealed(arr: np.ndarray) -> np.ndarray:
@@ -59,32 +72,13 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
     return arr.view()
 
 
-def _is_sealed(arr) -> bool:
-    """Whether ``arr`` is a read-only complex128 view of a frozen array."""
-    base = getattr(arr, "base", None)
-    return (
-        isinstance(base, np.ndarray)
-        and not base.flags.writeable
-        and not arr.flags.writeable
-        and arr.dtype == np.complex128
-    )
-
-
-def _frozen_complex(a) -> np.ndarray:
-    """``a`` as a read-only complex128 array; a sealed view is kept as is, anything else copied."""
-    if _is_sealed(a):
-        return a
-    arr = np.array(a, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
-
-
 def _shared_buffer(ca: np.ndarray, cb: np.ndarray) -> np.ndarray | None:
-    """The frozen (2, M, Ne) array whose two halves are the sealed views ``ca`` and ``cb``, or None."""
+    """The frozen complex128 (2, M, Ne) array whose two halves are the read-only views ``ca`` and ``cb``, or None."""
     base = ca.base
     if not (
-        _is_sealed(ca)
-        and _is_sealed(cb)
+        isinstance(base, np.ndarray)
+        and base.dtype == np.complex128
+        and not (base.flags.writeable or ca.flags.writeable or cb.flags.writeable)
         and cb.base is base
         and base.flags.c_contiguous
         and base.size == 2 * ca.size
@@ -96,18 +90,8 @@ def _shared_buffer(ca: np.ndarray, cb: np.ndarray) -> np.ndarray | None:
 
 
 def _hermiticity_residual(block: np.ndarray) -> float:
-    """max|block - block^H|, from the upper triangle, one row panel at a time.
-
-    |o_ij - conj(o_ji)| and |o_ji - conj(o_ij)| are the same number, so each
-    row panel is compared with the matching column panel from the diagonal
-    on.  ``np.maximum`` carries a NaN through, where Python's ``max`` may drop it.
-    """
-    residual = 0.0
-    for start in range(0, block.shape[0], _PANEL):
-        rows = block[start : start + _PANEL, start:]
-        cols = block[start:, start : start + _PANEL]
-        residual = np.maximum(residual, np.max(np.abs(rows - cols.T.conj())))
-    return float(residual)
+    """max|block - block^H|; ``np.max`` carries a NaN through, where Python's ``max`` may drop it."""
+    return float(np.max(np.abs(block - block.conj().T)))
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -131,13 +115,13 @@ def _checked_coefficients(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _rotated_coefficients(u: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """u times the (2, M·Ne) view of the frozen buffer ``root``, one GEMM, sealed and checked.
+def _rotated_coefficients(u: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """u times the (2, M·Ne) view of the frozen buffer ``parent``, one GEMM, sealed and checked.
 
     Overflow is not warned about; it leaves an infinity that the check reports.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _sealed(u @ root.reshape(2, -1)).reshape(root.shape)
+        coeffs = _sealed(u @ parent.reshape(2, -1)).reshape(parent.shape)
     return _checked_coefficients(coeffs)
 
 
@@ -158,8 +142,9 @@ def _real(value: complex, what: str) -> float:
 
 
 def _validated_metric(s, m: int) -> np.ndarray:
-    """A frozen copy of ``s``, checked to be a Hermitian, positive-definite m x m metric."""
-    s = _frozen_complex(s)
+    """A frozen C-ordered copy of ``s``, checked to be a Hermitian, positive-definite m x m metric."""
+    s = np.array(_numbers(s, "ao_overlap"), dtype=np.complex128, order="C")
+    s.setflags(write=False)
     if s.shape != (m, m):
         raise DimensionMismatch(f"ao_overlap must be {m}x{m}, got {s.shape}")
     _check_finite("ao_overlap", s)
@@ -209,9 +194,9 @@ class SpinorDeterminant:
     (2, M, Ne) buffer, alpha then beta, and ``coeff_alpha`` and
     ``coeff_beta`` are read-only views of its halves; two views that already
     are the halves of one frozen buffer (a derived determinant's) are kept
-    without a copy.  A rotated determinant (:meth:`_rotated`) holds the
-    buffer it was built on and an SU(2) matrix instead, and mixes its own
-    buffer from them when a coefficient is first read.
+    without a copy.  A rotated determinant (:meth:`_rotated`) holds its
+    parent's buffer and an SU(2) matrix instead, and mixes its own buffer
+    from them when a coefficient is first read.
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
     sets can be represented and passed to :func:`orthonormalize`.  The
@@ -219,12 +204,16 @@ class SpinorDeterminant:
     """
 
     def __init__(self, basis_dim: int, n_electrons: int, coeff_alpha, coeff_beta, ao_overlap=None):
-        m, ne = basis_dim, n_electrons
+        try:
+            m, ne = operator.index(basis_dim), operator.index(n_electrons)
+        except TypeError:
+            got = f"{basis_dim!r}, {n_electrons!r}"
+            raise DimensionMismatch(f"basis_dim and n_electrons must be integers, got {got}") from None
         if m < 1 or ne < 1:
             raise DimensionMismatch(f"need basis_dim >= 1 and n_electrons >= 1, got {m}, {ne}")
         if ne > 2 * m:
             raise DimensionMismatch(f"{ne} electrons do not fit in {2 * m} spin-orbitals")
-        ca, cb = np.asarray(coeff_alpha), np.asarray(coeff_beta)
+        ca, cb = _numbers(coeff_alpha, "coeff_alpha"), _numbers(coeff_beta, "coeff_beta")
         if ca.shape != (m, ne) or cb.shape != (m, ne):
             raise DimensionMismatch(
                 f"coefficient matrices must be {m}x{ne}, got {ca.shape} and {cb.shape}"
@@ -262,11 +251,11 @@ class SpinorDeterminant:
     def _coeffs(self) -> np.ndarray:
         """The coefficients as one frozen (2, M, Ne) buffer, alpha then beta.
 
-        Only a rotated determinant computes it here, by one 2x2 GEMM over the
-        buffer at the root of its chain of rotations, checked for finiteness
-        as the constructor checks its input; every other determinant is given
-        its buffer when it is made.  It is stored, then returned, so threads
-        that get here at once (no lock on Python 3.12) return the same buffer.
+        Only a rotated determinant computes it here, by one 2x2 GEMM over its
+        parent's buffer, checked for finiteness as the constructor checks its
+        input; every other determinant is given its buffer when it is made.
+        It is stored, then returned, so threads that get here at once (no
+        lock on Python 3.12) return the same buffer.
         """
         return self.__dict__.setdefault("_coeffs", _rotated_coefficients(*self._rotation))
 
@@ -280,18 +269,39 @@ class SpinorDeterminant:
     def _rotated(self, u: np.ndarray, r: np.ndarray) -> SpinorDeterminant:
         """This determinant with every spinor rotated by the SU(2) matrix ``u``, whose SO(3) image is ``r``.
 
-        The constructor checks the buffer at the root of this determinant's
-        chain of rotations (its own, unless it is rotated itself), which the
-        result keeps with the composed matrix u u_0 instead of a mixed
-        buffer: its coefficients wait until they are read, and those of any
-        chain of rotations take one GEMM.  Its blocks are seeded from this
-        determinant's (:meth:`OverlapBlocks._rotated`).
+        The result keeps this determinant's buffer (mixed first if this one
+        is rotated) and ``u`` in place of its own (:attr:`_coeffs`).  Its
+        blocks keep them and the metric to build their arrays when first
+        read (:attr:`OverlapBlocks._stack`); what is read is seeded in O(1):
+
+        - the record: <S>' = r <S>, A' = r A r^T and, as N_alpha + N_beta is
+          unchanged, N'_alpha and N'_beta = (N_alpha + N_beta) / 2 ± <Sz>';
+        - the identity deviation, as o'_aa + o'_bb = o_aa + o_bb;
+        - both Hermiticity residuals as this determinant's larger one, a bound:
+          o'_ss - o'_ss^H = |u[s, 0]|² (o_aa - o_aa^H) + |u[s, 1]|² (o_bb - o_bb^H),
+          as the cross terms cancel (o_ba = o_ab^H), and the two weights sum to 1.
+
+        A non-finite parent value carries through as NaN or infinity, so the gates still fail.
         """
-        pending = self.__dict__.get("_rotation")
-        rotation = (u, self._coeffs) if pending is None else (u @ pending[0], pending[1])
+        rotation = (u, self._coeffs)
         rotated = _derived(self, rotation[1])
         del rotated.__dict__["_coeffs"]
-        rotated.__dict__.update(_rotation=rotation, _blocks=self._blocks._rotated(u, r, rotation, self.ao_overlap))
+        blocks = self._blocks
+        with np.errstate(over="ignore", invalid="ignore"):
+            n_alpha, n_beta, s, a = blocks._record
+            s, a = r @ s, r @ a @ r.T
+            half_n = (n_alpha + n_beta) / 2.0
+            record = _SpinRecord(half_n + s[2], half_n - s[2], s, 0.5 * (a + a.T))
+            residual = float(np.max(list(blocks._hermiticity_residuals.values())))
+        seeded = OverlapBlocks.__new__(OverlapBlocks)
+        seeded.__dict__.update(
+            n_electrons=self.n_electrons,
+            _source=(rotation, self.ao_overlap),
+            _record=record,
+            _identity_deviation=blocks._identity_deviation,
+            _hermiticity_residuals={"o_aa": residual, "o_bb": residual},
+        )
+        rotated.__dict__.update(_rotation=rotation, _blocks=seeded)
         return rotated
 
     @functools.cached_property
@@ -318,12 +328,12 @@ class OverlapBlocks:
     built by hand are copied into one (so a caller's writeable array stays
     its own).  What the spin formulas read is one record, computed once,
     when first read (:meth:`_record`).  Blocks of a rotated determinant
-    (:meth:`_rotated`) get it, and both gate values, from the parent's in
-    O(1), and build their stack like any determinant's when first read.
+    are given it, and both gate values, by :meth:`SpinorDeterminant._rotated`,
+    and build their stack like any determinant's when first read.
     """
 
     def __init__(self, o_aa, o_ab, o_bb):
-        blocks = [np.asarray(block) for block in (o_aa, o_ab, o_bb)]
+        blocks = [_numbers(block, name) for name, block in zip(("o_aa", "o_ab", "o_bb"), (o_aa, o_ab, o_bb))]
         ne = blocks[0].shape[0] if blocks[0].ndim == 2 else 0
         for name, block in zip(("o_aa", "o_ab", "o_bb"), blocks):
             if ne < 1 or block.shape != (ne, ne):
@@ -346,8 +356,9 @@ class OverlapBlocks:
         """[o_aa, o_ab, o_bb] as one frozen (3, Ne, Ne) array.
 
         Only rotated blocks build it here, as any determinant's, from the metric
-        and their rotation's coefficients (mixed again), and store it before
-        returning it; every other blocks object is given its stack when made.
+        and their determinant's coefficients (mixed again from the parent's
+        buffer), and store it before returning it; every other blocks object
+        is given its stack when made.
         """
         rotation, metric = self._source
         return self.__dict__.setdefault("_stack", _block_stack(_rotated_coefficients(*rotation), metric))
@@ -360,40 +371,6 @@ class OverlapBlocks:
     def o_ba(self) -> np.ndarray:
         """o_ab^H, computed when first read (read-only)."""
         return _sealed(self.o_ab.T.conj())
-
-    def _rotated(self, u: np.ndarray, r: np.ndarray, rotation: tuple, metric: np.ndarray | None) -> OverlapBlocks:
-        """The blocks after every spinor is rotated by the SU(2) matrix ``u``, whose SO(3) image is ``r``.
-
-        They keep the rotated determinant's pending ``rotation`` (u u_0, root
-        buffer) and ``metric``, not the determinant, to build their arrays
-        when first read (:attr:`_stack`).  What is read is seeded in O(1):
-
-        - the record: <S>' = r <S>, A' = r A r^T and, as N_alpha + N_beta is
-          unchanged, N'_alpha and N'_beta = (N_alpha + N_beta) / 2 ± <Sz>';
-        - the identity deviation, as o'_aa + o'_bb = o_aa + o_bb;
-        - each Hermiticity residual's bound |u[s, 0]|² r_aa + |u[s, 1]|² r_bb:
-          o'_ss = sum_ij conj(u[s, i]) u[s, j] o_ij, and the cross terms of
-          o'_ss - o'_ss^H cancel as o_ba = o_ab^H.
-
-        A non-finite parent value carries through as NaN or infinity, so the gates still fail.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            n_alpha, n_beta, s, a = self._record
-            s, a = r @ s, r @ a @ r.T
-            half_n = (n_alpha + n_beta) / 2.0
-            record = _SpinRecord(half_n + s[2], half_n - s[2], s, 0.5 * (a + a.T))
-            r_aa, r_bb = self._hermiticity_residuals["o_aa"], self._hermiticity_residuals["o_bb"]
-            w = np.abs(u) ** 2
-            residuals = {name: float(w[k, 0] * r_aa + w[k, 1] * r_bb) for k, name in enumerate(("o_aa", "o_bb"))}
-        rotated = OverlapBlocks.__new__(OverlapBlocks)
-        rotated.__dict__.update(
-            n_electrons=self.n_electrons,
-            _source=(rotation, metric),
-            _record=record,
-            _identity_deviation=self._identity_deviation,
-            _hermiticity_residuals=residuals,
-        )
-        return rotated
 
     def _gram(self) -> np.ndarray:
         """Gram matrix of the spinors under the metric, o_aa + o_bb."""

@@ -158,8 +158,7 @@ def save_determinant(det: SpinorDeterminant, path) -> None:
             fh.write(f'{{\n "basis_dim": {det.basis_dim},\n "n_electrons": {det.n_electrons}')
             for field, matrix in matrices.items():
                 row = "[" + ", ".join(["[%r, %r]"] * matrix.shape[1]) + "]"
-                # A sealed view may be non-contiguous (a transposed metric); .view needs contiguous rows.
-                values = np.ascontiguousarray(matrix).view(np.float64).tolist()
+                values = matrix.view(np.float64).tolist()
                 fh.write(f',\n "{field}": [\n  ')
                 fh.write(",\n  ".join([row % tuple(numbers) for numbers in values]))
                 fh.write("\n ]")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collinearity import _check_unit
-from .determinant import SpinorDeterminant, lowdin_orthonormalize
+from .determinant import SpinorDeterminant, _numbers, lowdin_orthonormalize
 from .errors import DimensionMismatch, SpincolError
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -35,7 +35,10 @@ class SpinRotation:
     def __post_init__(self):
         axis = _check_unit(self.axis).copy()
         axis.setflags(write=False)
-        angle = float(self.angle)
+        angle = _numbers(self.angle, "rotation angle", SpincolError, real=True)
+        if angle.shape != ():
+            raise SpincolError(f"rotation angle must be a scalar, got shape {angle.shape}")
+        angle = float(angle)
         if not math.isfinite(angle):
             raise SpincolError(f"rotation angle {angle} is not finite")
         object.__setattr__(self, "axis", axis)
@@ -59,14 +62,14 @@ class SpinRotation:
 def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
     """Apply the same SU(2) matrix to the (alpha, beta) pair of every spinor.
 
-    Nothing here costs O(M·Ne) beyond the constructor's finiteness check.
-    The result keeps the coefficient buffer at the root of ``det``'s chain of
-    rotations, the composed SU(2) matrix and ``det``'s validated metric, and
-    mixes its coefficients by one GEMM only when they are first read.  Its
-    blocks seed the spin record (<S> and A mapped by ``rot.so3()``) and both
-    gate values in O(1) (see :meth:`OverlapBlocks._rotated`); their arrays
-    are built from the rotated coefficients, as any determinant's are, only
-    when first read.
+    The result keeps ``det``'s coefficient buffer, the SU(2) matrix and
+    ``det``'s validated metric, and mixes its coefficients by one GEMM only
+    when they are first read; if ``det`` is rotated itself, its own are mixed
+    here first.  Beyond that and the constructor's finiteness check nothing
+    costs O(M·Ne).  The blocks seed the spin record (<S> and A mapped by
+    ``rot.so3()``) and both gate values in O(1) (see
+    :meth:`SpinorDeterminant._rotated`); their arrays are built from the
+    rotated coefficients, as any determinant's are, only when first read.
     """
     return det._rotated(rot.su2(), rot.so3())
 
@@ -88,7 +91,7 @@ def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:
 
 
 def _orthonormal_columns(columns, what: str) -> np.ndarray:
-    cols = np.array(columns, dtype=complex)
+    cols = np.array(_numbers(columns, what), dtype=complex)
     if cols.ndim != 2:
         raise DimensionMismatch(f"{what} must be a 2-d matrix")
     if cols.shape[1] == 0:
@@ -124,8 +127,8 @@ def gen_rohf(closed, open_) -> SpinorDeterminant:
     ``closed`` orbitals are occupied with both spins, ``open_`` ones with
     alpha only; the combined orbital set is orthonormalized jointly.
     """
-    closed = np.array(closed, dtype=complex)
-    open_ = np.array(open_, dtype=complex)
+    closed = np.array(_numbers(closed, "closed"), dtype=complex)
+    open_ = np.array(_numbers(open_, "open_"), dtype=complex)
     if closed.ndim != 2 or open_.ndim != 2 or closed.shape[0] != open_.shape[0]:
         raise DimensionMismatch("closed and open orbital blocks must share the basis dimension")
     psi = _orthonormal_columns(np.hstack([closed, open_]), "orbitals")

@@ -146,9 +146,9 @@ def test_saved_bytes_are_the_json_dumps_encoding(tmp_path):
     coeffs = metric_det.stacked().copy().reshape(-1)
     coeffs.view(np.float64)[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
     det = SpinorDeterminant(4, 3, *coeffs.reshape(2, 4, 3), metric_det.ao_overlap)
-    # A transposed sealed metric is kept as a non-contiguous view.
+    # A read-only transposed metric is copied into C order, like any metric the constructor is given.
     transposed = SpinorDeterminant(4, 3, det.coeff_alpha, det.coeff_beta, det.ao_overlap.T)
-    assert not transposed.ao_overlap.flags.c_contiguous
+    assert transposed.ao_overlap.flags.c_contiguous and transposed.ao_overlap.flags.owndata
     unit = SpinorDeterminant(1, 1, [[complex(1.0, -0.0)]], [[complex(-0.0, 5e-324)]])
     for i, case in enumerate((det, transposed, unit, gen_random_gchf(5, 4, seed=3))):
         path = tmp_path / f"det{i}.json"

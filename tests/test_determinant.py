@@ -20,6 +20,8 @@ from spincol import (
     LinearlyDependent,
     NonHermitianResult,
     NotOrthonormal,
+    NotSymmetric,
+    NotUnitVector,
     OverlapBlocks,
     SpincolError,
     SpinorDeterminant,
@@ -33,6 +35,8 @@ from spincol import (
     expect_s2,
     expect_sz2,
     gen_random_gchf,
+    gen_rhf,
+    min_collinearity,
     orthonormalize,
     spin_vector,
     su2_rotate,
@@ -247,8 +251,8 @@ def test_a_nan_in_a_transposed_sealed_metric_is_rejected():
     metric = np.eye(3, dtype=complex)
     metric[0, 2] = metric[2, 0] = complex(np.nan, 0.0)
     metric.setflags(write=False)
-    # A sealed transposed view is kept as it is, not copied into contiguous memory.
-    assert spincol.determinant._is_sealed(metric.T) and not metric.T.flags.c_contiguous
+    # A read-only, non-contiguous view is copied like any other metric, and the NaN is found in the copy.
+    assert not metric.T.flags.c_contiguous
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SpincolError, match="ao_overlap has a non-finite entry"):
@@ -338,6 +342,42 @@ def test_hand_built_blocks_must_be_square_with_at_least_one_electron(block):
     # validate() or the spin formulas would fail on, or report zeros for.
     with pytest.raises(DimensionMismatch, match="o_aa must be"):
         OverlapBlocks(block, block, block)
+
+
+_RAGGED = [[1.0], [0.0, 1.0]]
+_COLUMN = [[1.0], [0.0]]
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda: SpinorDeterminant(2, 1, _RAGGED, _COLUMN), DimensionMismatch, "coeff_alpha"),
+        (lambda: SpinorDeterminant(2, 1, _COLUMN, _COLUMN, _RAGGED), DimensionMismatch, "ao_overlap"),
+        (lambda: OverlapBlocks(_RAGGED, [[1.0]], [[1.0]]), DimensionMismatch, "o_aa"),
+        (lambda: SpinorDeterminant(1, 1, [[1.0]], [["a"]]), DimensionMismatch, "coeff_beta"),
+        (lambda: SpinorDeterminant(1, 1, [[1.0]], [[0.0]], [["a"]]), DimensionMismatch, "ao_overlap"),
+        (lambda: OverlapBlocks([[1.0]], [["a"]], [[0.0]]), DimensionMismatch, "o_ab"),
+        (lambda: SpinorDeterminant(1, 1, [[None]], [[0.0]]), DimensionMismatch, "coeff_alpha"),
+        (lambda: SpinorDeterminant(1.0, 1, [[1.0]], [[0.0]]), DimensionMismatch, "basis_dim"),
+        (lambda: SpinRotation([0.0, 0.0, 1.0], "x"), SpincolError, "rotation angle"),
+        (lambda: align_to_axis(gen_random_gchf(2, 1, seed=1), ["a", "b", "c"]), NotUnitVector, "direction"),
+        (lambda: align_to_axis(gen_random_gchf(2, 1, seed=1), [1j, 0.0, 0.0]), NotUnitVector, "direction"),
+        (lambda: min_collinearity([["a"] * 3] * 3), NotSymmetric, "A"),
+        (lambda: gen_rhf(_RAGGED), DimensionMismatch, "orbitals"),
+    ],
+    ids=[
+        "ragged-coefficients", "ragged-metric", "ragged-block", "string-coefficient", "string-metric",
+        "string-block", "none-coefficient", "float-dimension", "string-angle", "string-direction",
+        "complex-direction", "string-a", "ragged-orbitals",
+    ],
+)
+def test_malformed_library_input_raises_a_typed_error_naming_the_field(call, error, field):
+    # Not numpy's ValueError or TypeError, and not a "non-finite" report for a None entry.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{field} ") as raised:
+            call()
+    assert "non-finite" not in str(raised.value)
 
 
 @pytest.mark.parametrize("ne", [1, 63, 64, 65, 200])
@@ -554,25 +594,24 @@ def test_rotated_coefficients_are_not_mixed_along_the_analysis_path(monkeypatch)
     assert "_coeffs" in tilted.__dict__ and tilted.__dict__["_rotation"][1] is root
 
 
-def test_a_long_chain_of_rotated_coefficients_is_mixed_by_one_gemm(monkeypatch):
-    rng = np.random.default_rng(22)
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("chain", [1, 3, 1500])
+def test_rotated_coefficients_are_u_times_the_parents_and_a_chain_is_the_product(with_metric, chain):
+    # One rotation's coefficients are u times its parent's, bit for bit; a chain of rotations
+    # equals the sequential product of its SU(2) matrices on the first determinant's coefficients.
+    rng = np.random.default_rng(22 + chain)
     det = gen_random_gchf(6, 5, seed=22)
+    if with_metric:
+        det = helpers.over_metric(det, helpers.random_pd_metric(rng, 6))
     rotated, sequential = det, det.stacked().reshape(2, -1)
-    for _ in range(1500):
+    for _ in range(chain):
         rot = SpinRotation(helpers.random_unit_vector(rng), rng.uniform(-4.0, 4.0))
-        rotated = su2_rotate(rotated, rot)
+        parent, rotated = rotated, su2_rotate(rotated, rot)
         sequential = rot.su2() @ sequential
-    assert rotated.__dict__["_rotation"][1].base is det.stacked().base
-    mixes, mix = [], spincol.determinant._rotated_coefficients
-
-    def counting_mix(*args):
-        mixes.append(args)
-        return mix(*args)
-
-    monkeypatch.setattr(spincol.determinant, "_rotated_coefficients", counting_mix)
+        assert rotated.ao_overlap is det.ao_overlap
+    assert rotated.stacked().tobytes() == (rot.su2() @ parent.stacked().reshape(2, -1)).tobytes()
     assert np.max(np.abs(rotated.stacked() - sequential.reshape(12, 5))) <= 1e-13
     assert np.array_equal(rotated.coeff_beta, rotated.stacked()[6:])
-    assert len(mixes) == 1
 
 
 def test_threads_reading_one_pending_coefficient_buffer_share_it():
@@ -626,11 +665,15 @@ def test_rotating_a_non_hermitian_parent_still_fails_validation(tampered):
     parts = {"o_aa": good.o_aa, "o_ab": good.o_ab, "o_bb": good.o_bb}
     parts[tampered] = parts[tampered] + np.diag([1e-11j, 0.0, 0.0])
     det.__dict__["_blocks"] = OverlapBlocks(**parts)
+    residuals = det._blocks._hermiticity_residuals
+    larger = residuals[tampered]
+    assert larger == max(residuals.values()) and larger > 1e-12
     for u in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.48, 0.6, 0.64]):
         rotated = align_to_axis(det, u)
-        # The gate checks the bounds seeded from the parent's residuals, not arrays built afresh.
-        with pytest.raises(NonHermitianResult, match="Hermiticity residual"):
+        # The gate checks the parent's larger residual, seeded for both blocks, not arrays built afresh.
+        with pytest.raises(NonHermitianResult, match=f"o_aa Hermiticity residual {larger:.3e} "):
             build_overlap_blocks(rotated)
+        assert rotated._blocks._hermiticity_residuals == {"o_aa": larger, "o_bb": larger}
 
 
 def test_rotating_an_overflowing_parent_still_fails_orthonormality():
