@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -115,14 +116,30 @@ def _checked_coefficients(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+# The coefficient arrays this module allocated, sealed and found finite, keyed by id.
+# An ndarray is unhashable, so a WeakSet cannot hold them; an entry goes with its array.
+_CHECKED: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _checked_owner(owner: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """The new array ``owner``, sealed, viewed as the (2, M, Ne) buffer ``shape``, checked and recorded.
+
+    Only an array this module allocated comes here, and it is recorded only
+    after both halves pass, so views of it are not scanned again.
+    """
+    coeffs = _checked_coefficients(_sealed(owner).reshape(shape))
+    _CHECKED[id(owner)] = owner
+    return coeffs
+
+
 def _rotated_coefficients(u: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """u times the (2, M·Ne) view of the frozen buffer ``parent``, one GEMM, sealed and checked.
+    """u times the (2, M·Ne) view of the frozen buffer ``parent``, one GEMM, sealed, checked and recorded.
 
     Overflow is not warned about; it leaves an infinity that the check reports.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _sealed(u @ parent.reshape(2, -1)).reshape(parent.shape)
-    return _checked_coefficients(coeffs)
+        mixed = u @ parent.reshape(2, -1)
+    return _checked_owner(mixed, parent.shape)
 
 
 class _SpinRecord(NamedTuple):
@@ -194,9 +211,12 @@ class SpinorDeterminant:
     (2, M, Ne) buffer, alpha then beta, and ``coeff_alpha`` and
     ``coeff_beta`` are read-only views of its halves; two views that already
     are the halves of one frozen buffer (a derived determinant's) are kept
-    without a copy.  A rotated determinant (:meth:`_rotated`) holds its
-    parent's buffer and an SU(2) matrix instead, and mixes its own buffer
-    from them when a coefficient is first read.
+    without a copy.  Both halves are checked to be finite once per buffer
+    spincol allocates, when it is made; a frozen buffer the caller owns is
+    checked on every construction, as the caller may write to it again.  A
+    rotated determinant (:meth:`_rotated`) holds its parent's buffer and an
+    SU(2) matrix instead, and mixes its own buffer from them when a
+    coefficient is first read.
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
     sets can be represented and passed to :func:`orthonormalize`.  The
@@ -222,8 +242,11 @@ class SpinorDeterminant:
         if coeffs is None:
             coeffs = np.empty((2, m, ne), dtype=np.complex128)
             coeffs[0], coeffs[1] = ca, cb
-            coeffs = _sealed(coeffs)
-        _checked_coefficients(coeffs)
+            coeffs = _checked_owner(coeffs, coeffs.shape)
+        elif _CHECKED.get(id(ca.base)) is not ca.base:
+            # A buffer the caller owns is scanned every time; one recorded here, and
+            # still read-only (as _shared_buffer requires), was scanned when made.
+            _checked_coefficients(coeffs)
         if ao_overlap is not None:
             ao_overlap = _validated_metric(ao_overlap, m)
         self.__dict__.update(basis_dim=m, n_electrons=ne, ao_overlap=ao_overlap, _coeffs=coeffs)
@@ -508,8 +531,7 @@ def orthonormalize(det: SpinorDeterminant) -> SpinorDeterminant:
             "spinor Gram matrix is not finite (its entries overflow); rescale the coefficients"
         )
     inv_sqrt, lowest = _inverse_sqrt(gram)
-    m, ne = det.basis_dim, det.n_electrons
-    coeffs = _sealed(det.stacked() @ inv_sqrt).reshape(2, m, ne)
+    coeffs = _checked_owner(det.stacked() @ inv_sqrt, (2, det.basis_dim, det.n_electrons))
     ortho = _derived(det, coeffs)
     ortho.__dict__["_blocks"] = OverlapBlocks._of_stack(_sealed(inv_sqrt @ blocks._stack @ inv_sqrt))
     check_within(

@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .determinant import SpinorDeterminant, to_identity_metric
+from .determinant import SpinorDeterminant, _numbers, to_identity_metric
 from .errors import DimensionMismatch, TooLarge
 
 PATTERN_GUARD = 10_000
@@ -50,7 +50,7 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        amplitudes = np.asarray(_numbers(self.amplitudes, "amplitudes"), dtype=complex)
         n_patterns = comb(2 * self.m_spatial, self.n_electrons)
         if amplitudes.shape != (n_patterns,):
             raise DimensionMismatch(

@@ -65,8 +65,10 @@ def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
     The result keeps ``det``'s coefficient buffer, the SU(2) matrix and
     ``det``'s validated metric, and mixes its coefficients by one GEMM only
     when they are first read; if ``det`` is rotated itself, its own are mixed
-    here first.  Beyond that and the constructor's finiteness check nothing
-    costs O(M·Ne).  The blocks seed the spin record (<S> and A mapped by
+    here first.  Nothing else costs O(M·Ne): a buffer spincol made was
+    checked for finiteness when it was made and is not scanned again; only a
+    caller's own read-only buffer is scanned by every rotation, as by every
+    construction on it.  The blocks seed the spin record (<S> and A mapped by
     ``rot.so3()``) and both gate values in O(1) (see
     :meth:`SpinorDeterminant._rotated`); their arrays are built from the
     rotated coefficients, as any determinant's are, only when first read.

@@ -17,6 +17,7 @@ import spincol.cli
 import spincol.determinant
 from spincol import (
     DimensionMismatch,
+    FockVector,
     LinearlyDependent,
     NonHermitianResult,
     NotOrthonormal,
@@ -36,8 +37,10 @@ from spincol import (
     expect_sz2,
     gen_random_gchf,
     gen_rhf,
+    load_determinant,
     min_collinearity,
     orthonormalize,
+    save_determinant,
     spin_vector,
     su2_rotate,
     to_identity_metric,
@@ -364,11 +367,13 @@ _COLUMN = [[1.0], [0.0]]
         (lambda: align_to_axis(gen_random_gchf(2, 1, seed=1), [1j, 0.0, 0.0]), NotUnitVector, "direction"),
         (lambda: min_collinearity([["a"] * 3] * 3), NotSymmetric, "A"),
         (lambda: gen_rhf(_RAGGED), DimensionMismatch, "orbitals"),
+        (lambda: FockVector(1, 1, ["a", "b"]), DimensionMismatch, "amplitudes"),
+        (lambda: FockVector(1, 1, _RAGGED), DimensionMismatch, "amplitudes"),
     ],
     ids=[
         "ragged-coefficients", "ragged-metric", "ragged-block", "string-coefficient", "string-metric",
         "string-block", "none-coefficient", "float-dimension", "string-angle", "string-direction",
-        "complex-direction", "string-a", "ragged-orbitals",
+        "complex-direction", "string-a", "ragged-orbitals", "string-amplitudes", "ragged-amplitudes",
     ],
 )
 def test_malformed_library_input_raises_a_typed_error_naming_the_field(call, error, field):
@@ -656,6 +661,136 @@ def test_overflowing_rotated_coefficients_fail_when_read():
         # The parent's Gram matrix has overflowed, so the seeded orthonormality gate fails first.
         with pytest.raises(NotOrthonormal):
             build_overlap_blocks(rotated)
+    # No failed buffer is recorded as checked, so each read mixes and scans again.
+    _assert_every_recorded_buffer_is_finite()
+
+
+def _assert_every_recorded_buffer_is_finite():
+    assert all(np.isfinite(owner).all() for owner in list(spincol.determinant._CHECKED.values()))
+
+
+# The names _check_finite is called with to scan one coefficient buffer.
+ONE_SCAN = ["coeff_alpha", "coeff_beta"]
+
+
+def _callers_read_only_buffer(m, ne, seed) -> np.ndarray:
+    """A read-only (2, m, ne) array the caller owns, holding an orthonormal determinant's halves."""
+    det = gen_random_gchf(m, ne, seed)
+    buf = np.array([det.coeff_alpha, det.coeff_beta])
+    buf.setflags(write=False)
+    return buf
+
+
+def test_a_callers_read_only_buffer_is_scanned_on_every_construction(monkeypatch):
+    buf = _callers_read_only_buffer(4, 3, seed=25)
+    scans = _count_calls(monkeypatch, "_check_finite")
+    for k in (1, 2):
+        det = SpinorDeterminant(4, 3, *buf)
+        assert scans == ONE_SCAN * k
+        assert det.coeff_alpha.base is buf
+    # A NaN in one half is found on the first construction and again on the next, on the same halves.
+    bad = np.array(buf)
+    bad[1, 2, 1] = complex(np.nan, 0.0)
+    bad.setflags(write=False)
+    for _ in range(2):
+        with pytest.raises(SpincolError, match="coeff_beta has a non-finite entry"):
+            SpinorDeterminant(4, 3, *bad)
+
+
+def test_a_spincol_buffer_made_writeable_again_is_copied_and_scanned(monkeypatch):
+    det = gen_random_gchf(4, 3, seed=26)
+    owner = det.coeff_alpha.base
+    owner.setflags(write=True)
+    scans = _count_calls(monkeypatch, "_check_finite")
+    again = SpinorDeterminant(4, 3, det.coeff_alpha, det.coeff_beta)
+    assert scans == ONE_SCAN and not np.shares_memory(again.stacked(), owner)
+    owner[0, 1, 2] = np.inf
+    with pytest.raises(SpincolError, match="coeff_alpha has a non-finite entry"):
+        SpinorDeterminant(4, 3, det.coeff_alpha, det.coeff_beta)
+
+
+def test_rotating_a_determinant_on_a_callers_buffer_scans_it(monkeypatch):
+    buf = _callers_read_only_buffer(4, 3, seed=27)
+    det = SpinorDeterminant(4, 3, *buf)
+    scans = _count_calls(monkeypatch, "_check_finite")
+    for k in (1, 2):
+        align_to_axis(det, [0.6, 0.0, 0.8])
+        assert scans == ONE_SCAN * k
+    # The caller may write to its own array again; the next rotation finds what was written.
+    buf.setflags(write=True)
+    buf[0, 0, 0] = complex(np.nan, 0.0)
+    buf.setflags(write=False)
+    with pytest.raises(SpincolError, match="coeff_alpha has a non-finite entry"):
+        align_to_axis(det, [0.6, 0.0, 0.8])
+
+
+def test_rotations_of_a_loaded_determinant_scan_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "det.json"
+    save_determinant(helpers.random_metric_determinant(8, 6, seed=28), path)
+    det = load_determinant(path)
+    scans = _count_calls(monkeypatch, "_check_finite")
+    rotated = su2_rotate(det, SpinRotation([0.0, 0.6, 0.8], 1.1))
+    blocks = build_overlap_blocks(det)
+    tilted = align_to_axis(det, analyze_collinearity(blocks).optimal_axis)
+    decompose_s2(build_overlap_blocks(tilted))
+    build_report(det, "det.json", "0" * 64, align_optimal=True)
+    assert scans == []
+    # A rotated determinant's coefficients are scanned once, when first read.
+    for _ in range(2):
+        assert rotated.coeff_alpha.shape == rotated.coeff_beta.shape == (8, 6)
+        assert rotated.stacked().shape == (16, 6)
+    assert scans == ONE_SCAN
+    # They are recorded, so rotating the rotated determinant scans nothing more.
+    su2_rotate(rotated, SpinRotation([1.0, 0.0, 0.0], 0.3))
+    assert scans == ONE_SCAN
+
+
+def test_orthonormalize_scans_its_buffer_once_and_its_rotations_scan_nothing(monkeypatch):
+    rng = np.random.default_rng(29)
+    raw = SpinorDeterminant(5, 3, helpers.random_complex(rng, 5, 3), helpers.random_complex(rng, 5, 3))
+    scans = _count_calls(monkeypatch, "_check_finite")
+    ortho = orthonormalize(raw)
+    assert scans == ONE_SCAN
+    align_to_axis(ortho, [0.48, 0.6, 0.64])
+    su2_rotate(ortho, SpinRotation([0.0, 0.0, 1.0], 2.0))
+    assert scans == ONE_SCAN
+
+
+def test_copies_scan_nothing_while_pickles_and_fresh_arrays_are_scanned_once(monkeypatch):
+    det = gen_random_gchf(4, 3, seed=30)
+    scans = _count_calls(monkeypatch, "_check_finite")
+    assert copy.copy(det).coeff_alpha.base is det.coeff_alpha.base
+    assert scans == []
+    pickle.loads(pickle.dumps(det))
+    assert scans == ONE_SCAN
+    SpinorDeterminant(4, 3, np.array(det.coeff_alpha), np.array(det.coeff_beta))
+    assert scans == ONE_SCAN * 2
+
+
+def test_threads_rotating_and_constructing_on_one_parent_agree():
+    # The parent's own coefficients are pending, so the threads also race to mix and record them.
+    parent = align_to_axis(gen_random_gchf(300, 200, seed=31), [0.48, 0.6, 0.64])
+    rot = SpinRotation([0.0, 0.6, 0.8], 1.1)
+    barrier, seen, errors = threading.Barrier(4), [], []
+
+    def work():
+        barrier.wait()
+        try:
+            rotated = su2_rotate(parent, rot)
+            made = SpinorDeterminant(300, 200, parent.coeff_alpha, parent.coeff_beta)
+            seen.append((rotated.stacked().tobytes(), made.stacked().tobytes()))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == [] and len(seen) == 4
+    assert len(set(seen)) == 1
+    assert seen[0] == (su2_rotate(parent, rot).stacked().tobytes(), parent.stacked().tobytes())
+    _assert_every_recorded_buffer_is_finite()
 
 
 @pytest.mark.parametrize("tampered", ["o_aa", "o_bb"])
