@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 
@@ -422,7 +423,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``spincol analyze det.json --json | head``).  Point
+        # stdout at devnull so the flush at interpreter exit cannot fail again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ A determinant is immutable, so its products are computed once, on first use,
 as its one :class:`OverlapBlocks`, shared by the orthonormality gate,
 :func:`build_overlap_blocks` and :func:`orthonormalize`; the spin formulas
 read one record the blocks compute once: N_alpha, N_beta, <S> and the spin
-covariance matrix A.  A derived determinant (rotated or orthonormalized)
-shares its parent's validated metric.  A rotation maps the parent's record
-in O(1) and mixes its coefficients from the parent's, by one GEMM, only when
-they are first read; its block arrays, like any determinant's, are built
-from its coefficients when first read.
+covariance matrix A.  A coefficient buffer is shared without a copy only if
+this module made it: checked once, when made, and recorded.  A derived
+determinant (rotated or orthonormalized) shares its parent's validated
+metric.  A rotation maps the parent's record in O(1) and mixes its
+coefficients from the parent's, by one GEMM, only when they or its block
+arrays are first read, and then only once.
 """
 
 from __future__ import annotations
@@ -73,23 +74,6 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
     return arr.view()
 
 
-def _shared_buffer(ca: np.ndarray, cb: np.ndarray) -> np.ndarray | None:
-    """The frozen complex128 (2, M, Ne) array whose two halves are the read-only views ``ca`` and ``cb``, or None."""
-    base = ca.base
-    if not (
-        isinstance(base, np.ndarray)
-        and base.dtype == np.complex128
-        and not (base.flags.writeable or ca.flags.writeable or cb.flags.writeable)
-        and cb.base is base
-        and base.flags.c_contiguous
-        and base.size == 2 * ca.size
-    ):
-        return None
-    buf = base.reshape(2, *ca.shape)
-    halves = (ca.__array_interface__, cb.__array_interface__)
-    return buf if halves == (buf[0].__array_interface__, buf[1].__array_interface__) else None
-
-
 def _hermiticity_residual(block: np.ndarray) -> float:
     """max|block - block^H|; ``np.max`` carries a NaN through, where Python's ``max`` may drop it."""
     return float(np.max(np.abs(block - block.conj().T)))
@@ -109,13 +93,6 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise SpincolError(f"{name} has a non-finite entry (NaN or infinity)")
 
 
-def _checked_coefficients(coeffs: np.ndarray) -> np.ndarray:
-    """The (2, M, Ne) buffer ``coeffs``, after checking that both halves are finite."""
-    _check_finite("coeff_alpha", coeffs[0])
-    _check_finite("coeff_beta", coeffs[1])
-    return coeffs
-
-
 # The coefficient arrays this module allocated, sealed and found finite, keyed by id.
 # An ndarray is unhashable, so a WeakSet cannot hold them; an entry goes with its array.
 _CHECKED: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
@@ -125,11 +102,23 @@ def _checked_owner(owner: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray
     """The new array ``owner``, sealed, viewed as the (2, M, Ne) buffer ``shape``, checked and recorded.
 
     Only an array this module allocated comes here, and it is recorded only
-    after both halves pass, so views of it are not scanned again.
+    after both halves pass, so views of it are shared and not scanned again.
     """
-    coeffs = _checked_coefficients(_sealed(owner).reshape(shape))
+    coeffs = _sealed(owner).reshape(shape)
+    _check_finite("coeff_alpha", coeffs[0])
+    _check_finite("coeff_beta", coeffs[1])
     _CHECKED[id(owner)] = owner
     return coeffs
+
+
+def _shared_buffer(ca: np.ndarray, cb: np.ndarray) -> np.ndarray | None:
+    """The recorded, still read-only (2, M, Ne) buffer whose halves are ``ca`` and ``cb``, or None."""
+    owner = ca.base
+    if owner is None or _CHECKED.get(id(owner)) is not owner or owner.flags.writeable or owner.size != 2 * ca.size:
+        return None
+    buf = owner.reshape(2, *ca.shape)
+    halves = (ca.__array_interface__, cb.__array_interface__)
+    return buf if halves == (buf[0].__array_interface__, buf[1].__array_interface__) else None
 
 
 def _rotated_coefficients(u: np.ndarray, parent: np.ndarray) -> np.ndarray:
@@ -140,6 +129,12 @@ def _rotated_coefficients(u: np.ndarray, parent: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = u @ parent.reshape(2, -1)
     return _checked_owner(mixed, parent.shape)
+
+
+class _PendingMix(functools.partial):
+    """A rotation's ``_rotated_coefficients(u, parent)``; :attr:`coeffs` runs it on first read and keeps it."""
+
+    coeffs = functools.cached_property(lambda self: self())
 
 
 class _SpinRecord(NamedTuple):
@@ -207,16 +202,15 @@ class SpinorDeterminant:
     means identity (orthonormal basis).  A determinant is immutable.
 
     Construction validates shapes, finiteness and the metric, which it
-    copies and freezes.  The coefficients are copied into one frozen
-    (2, M, Ne) buffer, alpha then beta, and ``coeff_alpha`` and
-    ``coeff_beta`` are read-only views of its halves; two views that already
-    are the halves of one frozen buffer (a derived determinant's) are kept
-    without a copy.  Both halves are checked to be finite once per buffer
-    spincol allocates, when it is made; a frozen buffer the caller owns is
-    checked on every construction, as the caller may write to it again.  A
-    rotated determinant (:meth:`_rotated`) holds its parent's buffer and an
-    SU(2) matrix instead, and mixes its own buffer from them when a
-    coefficient is first read.
+    copies and freezes.  The coefficients live in one frozen (2, M, Ne)
+    buffer, alpha then beta, and ``coeff_alpha`` and ``coeff_beta`` are
+    read-only views of its halves.  The halves of a buffer spincol made (a
+    derived determinant's, or another determinant's) are shared without a
+    copy while its owner stays read-only; any other input, a caller's
+    read-only array included, is copied.  Each buffer is checked to be
+    finite once, when it is made.  A rotated determinant (:meth:`_rotated`)
+    holds one pending mix of its parent's buffer instead, which its
+    coefficients and its blocks' arrays both read.
     Orthonormality of the spinors is checked where it is consumed
     (``build_overlap_blocks``) so that raw, not-yet-orthonormal coefficient
     sets can be represented and passed to :func:`orthonormalize`.  The
@@ -243,10 +237,6 @@ class SpinorDeterminant:
             coeffs = np.empty((2, m, ne), dtype=np.complex128)
             coeffs[0], coeffs[1] = ca, cb
             coeffs = _checked_owner(coeffs, coeffs.shape)
-        elif _CHECKED.get(id(ca.base)) is not ca.base:
-            # A buffer the caller owns is scanned every time; one recorded here, and
-            # still read-only (as _shared_buffer requires), was scanned when made.
-            _checked_coefficients(coeffs)
         if ao_overlap is not None:
             ao_overlap = _validated_metric(ao_overlap, m)
         self.__dict__.update(basis_dim=m, n_electrons=ne, ao_overlap=ao_overlap, _coeffs=coeffs)
@@ -274,13 +264,12 @@ class SpinorDeterminant:
     def _coeffs(self) -> np.ndarray:
         """The coefficients as one frozen (2, M, Ne) buffer, alpha then beta.
 
-        Only a rotated determinant computes it here, by one 2x2 GEMM over its
-        parent's buffer, checked for finiteness as the constructor checks its
-        input; every other determinant is given its buffer when it is made.
+        Only a rotated determinant computes it here, from the pending mix its
+        blocks share; every other determinant is given its buffer when made.
         It is stored, then returned, so threads that get here at once (no
         lock on Python 3.12) return the same buffer.
         """
-        return self.__dict__.setdefault("_coeffs", _rotated_coefficients(*self._rotation))
+        return self.__dict__.setdefault("_coeffs", self._pending.coeffs)
 
     coeff_alpha = property(lambda self: self._coeffs[0], doc="Alpha components, one spinor per column (read-only).")
     coeff_beta = property(lambda self: self._coeffs[1], doc="Beta components, one spinor per column (read-only).")
@@ -292,10 +281,11 @@ class SpinorDeterminant:
     def _rotated(self, u: np.ndarray, r: np.ndarray) -> SpinorDeterminant:
         """This determinant with every spinor rotated by the SU(2) matrix ``u``, whose SO(3) image is ``r``.
 
-        The result keeps this determinant's buffer (mixed first if this one
-        is rotated) and ``u`` in place of its own (:attr:`_coeffs`).  Its
-        blocks keep them and the metric to build their arrays when first
-        read (:attr:`OverlapBlocks._stack`); what is read is seeded in O(1):
+        The result holds one pending mix of this determinant's buffer (mixed
+        first if this one is rotated) by ``u`` in place of its own buffer
+        (:attr:`_coeffs`).  Its blocks hold the same pending mix and the
+        metric, not the determinant, to build their arrays when first read
+        (:attr:`OverlapBlocks._stack`); what is read is seeded in O(1):
 
         - the record: <S>' = r <S>, A' = r A r^T and, as N_alpha + N_beta is
           unchanged, N'_alpha and N'_beta = (N_alpha + N_beta) / 2 ± <Sz>';
@@ -306,8 +296,8 @@ class SpinorDeterminant:
 
         A non-finite parent value carries through as NaN or infinity, so the gates still fail.
         """
-        rotation = (u, self._coeffs)
-        rotated = _derived(self, rotation[1])
+        pending = _PendingMix(_rotated_coefficients, u, self._coeffs)
+        rotated = _derived(self, self._coeffs)
         del rotated.__dict__["_coeffs"]
         blocks = self._blocks
         with np.errstate(over="ignore", invalid="ignore"):
@@ -319,12 +309,12 @@ class SpinorDeterminant:
         seeded = OverlapBlocks.__new__(OverlapBlocks)
         seeded.__dict__.update(
             n_electrons=self.n_electrons,
-            _source=(rotation, self.ao_overlap),
+            _source=(pending, self.ao_overlap),
             _record=record,
             _identity_deviation=blocks._identity_deviation,
             _hermiticity_residuals={"o_aa": residual, "o_bb": residual},
         )
-        rotated.__dict__.update(_rotation=rotation, _blocks=seeded)
+        rotated.__dict__.update(_pending=pending, _blocks=seeded)
         return rotated
 
     @functools.cached_property
@@ -379,12 +369,12 @@ class OverlapBlocks:
         """[o_aa, o_ab, o_bb] as one frozen (3, Ne, Ne) array.
 
         Only rotated blocks build it here, as any determinant's, from the metric
-        and their determinant's coefficients (mixed again from the parent's
-        buffer), and store it before returning it; every other blocks object
-        is given its stack when made.
+        and their determinant's pending mix (made once, whichever of the two
+        reads it first), and store it before returning it; every other blocks
+        object is given its stack when made.
         """
-        rotation, metric = self._source
-        return self.__dict__.setdefault("_stack", _block_stack(_rotated_coefficients(*rotation), metric))
+        pending, metric = self._source
+        return self.__dict__.setdefault("_stack", _block_stack(pending.coeffs, metric))
 
     o_aa = property(lambda self: self._stack[0], doc="<phi_i^alpha | phi_j^alpha>, slot 0 of the stack.")
     o_ab = property(lambda self: self._stack[1], doc="<phi_i^alpha | phi_j^beta>, slot 1 of the stack.")

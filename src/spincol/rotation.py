@@ -63,13 +63,12 @@ def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
     """Apply the same SU(2) matrix to the (alpha, beta) pair of every spinor.
 
     The result keeps ``det``'s coefficient buffer, the SU(2) matrix and
-    ``det``'s validated metric, and mixes its coefficients by one GEMM only
-    when they are first read; if ``det`` is rotated itself, its own are mixed
-    here first.  Nothing else costs O(M·Ne): a buffer spincol made was
-    checked for finiteness when it was made and is not scanned again; only a
-    caller's own read-only buffer is scanned by every rotation, as by every
-    construction on it.  The blocks seed the spin record (<S> and A mapped by
-    ``rot.so3()``) and both gate values in O(1) (see
+    ``det``'s validated metric, and mixes its coefficients by one GEMM, once,
+    when they or its block arrays are first read; if ``det`` is rotated
+    itself, its own are mixed here first.  Nothing else costs O(M·Ne):
+    ``det``'s buffer was made by spincol and checked for finiteness then, so
+    it is shared without a scan.  The blocks seed the spin record (<S> and A
+    mapped by ``rot.so3()``) and both gate values in O(1) (see
     :meth:`SpinorDeterminant._rotated`); their arrays are built from the
     rotated coefficients, as any determinant's are, only when first read.
     """

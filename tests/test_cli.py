@@ -750,6 +750,28 @@ def test_successive_runs_match_fresh_processes(tmp_path, capsys):
         assert in_process == fresh.stdout, argv
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["axis"]], ids=["analyze-json", "axis"])
+def test_a_reader_that_closed_stdout_gets_no_traceback(tmp_path, capsys, argv):
+    # `spincol analyze det.json --json | head -n 1`, with the read end closed before the child writes.
+    path = _gen_file(tmp_path, capsys, m=30, ne=12, seed=1)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "spincol.cli", argv[0], path, *argv[1:]],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in child.stderr and child.stderr == ""
+    assert child.returncode == 1
+
+
 def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
     assert run(["no-such-command"]) == 2

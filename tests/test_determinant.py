@@ -521,6 +521,27 @@ def test_the_tilted_determinant_builds_no_blocks_and_mixes_no_coefficients(monke
     assert builds[1].tobytes() == tilted._coeffs.tobytes()
 
 
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("coefficients_first", [True, False], ids=["coefficients-first", "blocks-first"])
+def test_a_rotated_determinant_mixes_once_for_its_coefficients_and_its_blocks(
+    monkeypatch, with_metric, coefficients_first
+):
+    det = gen_random_gchf(6, 4, seed=24)
+    if with_metric:
+        det = helpers.over_metric(det, helpers.random_pd_metric(np.random.default_rng(24), 6))
+    mixes = _count_calls(monkeypatch, "_rotated_coefficients")
+    scans = _count_calls(monkeypatch, "_check_finite")
+    rotated = align_to_axis(det, [0.6, 0.0, 0.8])
+    reads = [rotated.stacked, lambda: rotated._blocks.o_aa]
+    for read in reads if coefficients_first else reads[::-1]:
+        read()
+        assert len(mixes) == 1 and scans == ONE_SCAN
+    # The blocks are those of a fresh determinant on the same coefficients, bit for bit.
+    metric = None if det.ao_overlap is None else np.array(det.ao_overlap)
+    fresh = SpinorDeterminant(6, 4, np.array(rotated.coeff_alpha), np.array(rotated.coeff_beta), metric)
+    assert rotated._blocks._stack.tobytes() == fresh._blocks._stack.tobytes()
+
+
 def test_a_reader_that_missed_the_stored_stack_returns_it():
     # Two threads reading a rotated block both run the stack's getter (no lock on Python 3.12).
     det = helpers.random_metric_determinant(6, 5, seed=18)
@@ -591,12 +612,13 @@ def test_rotated_coefficients_are_not_mixed_along_the_analysis_path(monkeypatch)
     build_report(det, "det.json", "0" * 64, align_optimal=True)
     assert len(tilted_in_report) == 1
     for rotated in (tilted_in_report[0], tilted):
-        assert "_coeffs" not in rotated.__dict__ and "_rotation" in rotated.__dict__
-        u, root = rotated.__dict__["_rotation"]
+        pending = rotated.__dict__["_pending"]
+        assert "_coeffs" not in rotated.__dict__ and rotated._blocks._source[0] is pending
+        u, root = pending.args
         assert root.base is det.stacked().base
-    # The first read mixes them by one GEMM and stores them; the rotation is kept for the next one.
+    # The first read mixes them by one GEMM and stores them; the pending mix keeps that buffer for the blocks.
     assert tilted.stacked().tobytes() == (u @ det.stacked().reshape(2, -1)).reshape(16, 6).tobytes()
-    assert "_coeffs" in tilted.__dict__ and tilted.__dict__["_rotation"][1] is root
+    assert pending.coeffs is tilted.__dict__["_coeffs"] and pending.args[1] is root
 
 
 @pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
@@ -681,13 +703,13 @@ def _callers_read_only_buffer(m, ne, seed) -> np.ndarray:
     return buf
 
 
-def test_a_callers_read_only_buffer_is_scanned_on_every_construction(monkeypatch):
+def test_a_callers_read_only_buffer_is_copied_and_scanned_on_every_construction(monkeypatch):
     buf = _callers_read_only_buffer(4, 3, seed=25)
     scans = _count_calls(monkeypatch, "_check_finite")
     for k in (1, 2):
         det = SpinorDeterminant(4, 3, *buf)
         assert scans == ONE_SCAN * k
-        assert det.coeff_alpha.base is buf
+        assert not np.shares_memory(det.stacked(), buf)
     # A NaN in one half is found on the first construction and again on the next, on the same halves.
     bad = np.array(buf)
     bad[1, 2, 1] = complex(np.nan, 0.0)
@@ -709,19 +731,21 @@ def test_a_spincol_buffer_made_writeable_again_is_copied_and_scanned(monkeypatch
         SpinorDeterminant(4, 3, det.coeff_alpha, det.coeff_beta)
 
 
-def test_rotating_a_determinant_on_a_callers_buffer_scans_it(monkeypatch):
+def test_a_nan_written_later_to_a_callers_buffer_never_reaches_its_determinant(monkeypatch):
     buf = _callers_read_only_buffer(4, 3, seed=27)
     det = SpinorDeterminant(4, 3, *buf)
-    scans = _count_calls(monkeypatch, "_check_finite")
-    for k in (1, 2):
-        align_to_axis(det, [0.6, 0.0, 0.8])
-        assert scans == ONE_SCAN * k
-    # The caller may write to its own array again; the next rotation finds what was written.
+    kept = det.stacked().tobytes()
+    # The caller may write to its own array again; the determinant holds a copy.
     buf.setflags(write=True)
     buf[0, 0, 0] = complex(np.nan, 0.0)
     buf.setflags(write=False)
-    with pytest.raises(SpincolError, match="coeff_alpha has a non-finite entry"):
-        align_to_axis(det, [0.6, 0.0, 0.8])
+    scans = _count_calls(monkeypatch, "_check_finite")
+    rotated = [align_to_axis(det, [0.6, 0.0, 0.8]), su2_rotate(det, SpinRotation([0.0, 0.6, 0.8], 1.1))]
+    assert scans == [] and det.stacked().tobytes() == kept
+    for k, each in enumerate(rotated, start=1):
+        assert np.isfinite(each.stacked()).all() and np.isfinite(build_overlap_blocks(each).o_aa).all()
+        # Reading them scans only their own mix, once.
+        assert scans == ONE_SCAN * k
 
 
 def test_rotations_of_a_loaded_determinant_scan_nothing(tmp_path, monkeypatch):
