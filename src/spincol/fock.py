@@ -3,9 +3,9 @@
 A spinor determinant is expanded over elementary Slater determinants of the
 2M spin-orbitals; the amplitude of an occupation pattern is the Ne x Ne minor
 of the stacked coefficient matrix restricted to the pattern's rows.  Spin
-operators then act by their second-quantized one-body form, so any spin
-expectation can be evaluated with no formula beyond linear algebra.  This is
-the ground truth the closed-form routines are validated against.
+operators act by their second-quantized one-body form (S+ and S- through one
+signed transition table cached per sector), with no formula beyond linear
+algebra.  This is the ground truth the closed forms are validated against.
 
 ``oracle_expectation`` expands the determinant once into psi, applies S+, S-
 and Sz to it once each (Sx psi and Sy psi are their combinations), and reads
@@ -22,6 +22,7 @@ below the acted-on mode.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -50,6 +51,15 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        for name in ("m_spatial", "n_electrons"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise DimensionMismatch(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        if self.m_spatial < 1:
+            raise DimensionMismatch(f"m_spatial must be at least 1, got {self.m_spatial}")
+        if not 0 <= self.n_electrons <= 2 * self.m_spatial:
+            raise DimensionMismatch(f"n_electrons must be from 0 to {2 * self.m_spatial}, got {self.n_electrons}")
         amplitudes = np.asarray(_numbers(self.amplitudes, "amplitudes"), dtype=complex)
         n_patterns = comb(2 * self.m_spatial, self.n_electrons)
         if amplitudes.shape != (n_patterns,):
@@ -66,17 +76,29 @@ class FockVector:
 
 
 @lru_cache(maxsize=16)
-def _sector(m: int, ne: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied rows (patterns x Ne) and occupation matrix (patterns x 2M) of a sector.
+def _sector(m: int, ne: int) -> tuple[np.ndarray, ...]:
+    """Pattern rows, S+ transition table and Sz diagonal of a sector, built once.
 
-    Both are read-only because every caller shares them.
+    Returns the occupied rows (patterns x Ne), S+'s (source, target, sign)
+    and 1/2 (n_alpha - n_beta) per pattern, all read off the occupation
+    matrix and read-only because every caller shares them.  S+ moves the
+    electron of mode M+p to p, orbital after orbital.  That keeps every other
+    occupation, and so the combinations order: the k-th pattern with M+p
+    occupied and p empty lands on the k-th with p occupied and M+p empty,
+    with sign (-1)**(occupied modes strictly between p and M+p).
     """
     rows = np.array(list(combinations(range(2 * m), ne)), dtype=np.intp)
     occupied = np.zeros((len(rows), 2 * m), dtype=bool)
     occupied[np.arange(len(rows))[:, None], rows] = True
-    rows.setflags(write=False)
-    occupied.setflags(write=False)
-    return rows, occupied
+    alpha, beta = occupied[:, :m], occupied[:, m:]
+    raisable = (beta & ~alpha).T
+    below = np.cumsum(occupied, axis=1)
+    passed = (below[:, m - 1 : 2 * m - 1] - below[:, :m]).T[raisable]
+    sector = (rows, np.nonzero(raisable)[1], np.nonzero((alpha & ~beta).T)[1],
+              np.where(passed % 2, -1.0, 1.0), 0.5 * (alpha.sum(axis=1) - beta.sum(axis=1)))
+    for table in sector:
+        table.setflags(write=False)
+    return sector
 
 
 def expand(det: SpinorDeterminant) -> FockVector:
@@ -91,47 +113,35 @@ def expand(det: SpinorDeterminant) -> FockVector:
     n_patterns = comb(2 * m, ne)
     if n_patterns > PATTERN_GUARD:
         raise TooLarge(f"{n_patterns} occupation patterns exceed the guard of {PATTERN_GUARD}")
-    rows, _ = _sector(m, ne)
     stacked = to_identity_metric(det).stacked()
-    return FockVector(m_spatial=m, n_electrons=ne, amplitudes=np.linalg.det(stacked[rows]))
+    return FockVector(m_spatial=m, n_electrons=ne, amplitudes=np.linalg.det(stacked[_sector(m, ne)[0]]))
 
 
-def _apply_ladder(vec: FockVector, from_offset: int, to_offset: int) -> FockVector:
-    """sum_p a+_{p,to} a_{p,from} with fermionic signs.
+def _apply_ladder(vec: FockVector, source: np.ndarray, target: np.ndarray, sign: np.ndarray) -> FockVector:
+    """S+ from a sector's (source, target, sign) table, or S- with source and target swapped.
 
-    Moving one electron from mode src to mode dst keeps every other
-    occupation, and that preserves the combinations order: the k-th pattern
-    with src occupied and dst empty lands on the k-th pattern with dst
-    occupied and src empty.  The sign is (-1)**(occupied modes strictly
-    between src and dst).
+    S- keeps the signs: the same modes lie between p and M+p.  ``bincount``
+    adds each target's contributions in table order, from 0.0, as a loop
+    over p would.
     """
-    m = vec.m_spatial
-    _, occupied = _sector(m, vec.n_electrons)
-    out = np.zeros_like(vec.amplitudes)
-    for p in range(m):
-        src, dst = p + from_offset, p + to_offset
-        lo, hi = sorted((src, dst))
-        movers = occupied[:, src] & ~occupied[:, dst]
-        landed = occupied[:, dst] & ~occupied[:, src]
-        passed = occupied[movers, lo + 1 : hi].sum(axis=1)
-        out[landed] += np.where(passed % 2, -1.0, 1.0) * vec.amplitudes[movers]
-    return FockVector(m, vec.n_electrons, out)
+    moved = sign * vec.amplitudes[source]
+    out = np.empty_like(vec.amplitudes)
+    out.real = np.bincount(target, moved.real, minlength=len(out))
+    out.imag = np.bincount(target, moved.imag, minlength=len(out))
+    return FockVector(vec.m_spatial, vec.n_electrons, out)
 
 
 def apply_spin(vec: FockVector, op: str) -> FockVector:
     """Act with one of Sz, S+, S-, Sx, Sy on a Fock-space vector."""
-    m = vec.m_spatial
-    if op == "Sz":
-        _, occupied = _sector(m, vec.n_electrons)
-        n_alpha = occupied[:, :m].sum(axis=1)
-        n_beta = occupied[:, m:].sum(axis=1)
-        return FockVector(m, vec.n_electrons, 0.5 * (n_alpha - n_beta) * vec.amplitudes)
-    if op == "S+":
-        return _apply_ladder(vec, from_offset=m, to_offset=0)
-    if op == "S-":
-        return _apply_ladder(vec, from_offset=0, to_offset=m)
     if op in ("Sx", "Sy"):
         return _cartesian(op, apply_spin(vec, "S+"), apply_spin(vec, "S-"))
+    _, source, target, sign, sz = _sector(vec.m_spatial, vec.n_electrons)
+    if op == "Sz":
+        return FockVector(vec.m_spatial, vec.n_electrons, sz * vec.amplitudes)
+    if op == "S+":
+        return _apply_ladder(vec, source, target, sign)
+    if op == "S-":
+        return _apply_ladder(vec, target, source, sign)
     raise ValueError(f"unknown spin operator {op!r}")
 
 

@@ -369,11 +369,21 @@ _COLUMN = [[1.0], [0.0]]
         (lambda: gen_rhf(_RAGGED), DimensionMismatch, "orbitals"),
         (lambda: FockVector(1, 1, ["a", "b"]), DimensionMismatch, "amplitudes"),
         (lambda: FockVector(1, 1, _RAGGED), DimensionMismatch, "amplitudes"),
+        (lambda: FockVector(2.5, 1, [0] * 5), DimensionMismatch, "m_spatial"),
+        (lambda: FockVector("2", 1, [0] * 4), DimensionMismatch, "m_spatial"),
+        (lambda: FockVector(None, 1, [0]), DimensionMismatch, "m_spatial"),
+        (lambda: FockVector(-1, 1, []), DimensionMismatch, "m_spatial"),
+        (lambda: FockVector(0, 0, [1.0]), DimensionMismatch, "m_spatial"),
+        (lambda: FockVector(2, 1.0, [0] * 4), DimensionMismatch, "n_electrons"),
+        (lambda: FockVector(2, -1, [0]), DimensionMismatch, "n_electrons"),
+        (lambda: FockVector(1, 3, []), DimensionMismatch, "n_electrons"),
     ],
     ids=[
         "ragged-coefficients", "ragged-metric", "ragged-block", "string-coefficient", "string-metric",
         "string-block", "none-coefficient", "float-dimension", "string-angle", "string-direction",
         "complex-direction", "string-a", "ragged-orbitals", "string-amplitudes", "ragged-amplitudes",
+        "float-fock-basis", "string-fock-basis", "none-fock-basis", "negative-fock-basis", "empty-fock-basis",
+        "float-fock-electrons", "negative-fock-electrons", "overfull-fock-sector",
     ],
 )
 def test_malformed_library_input_raises_a_typed_error_naming_the_field(call, error, field):

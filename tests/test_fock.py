@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import spincol.fock
 from spincol import (
     DimensionMismatch,
     FockVector,
@@ -199,6 +200,50 @@ def test_ladders_match_the_bitmask_loop(rng):
                 expected = _ladder_by_loop(v, *offsets).amplitudes
                 deviation = _max_amp_diff(apply_spin(v, op).amplitudes, expected)
                 assert deviation <= m * np.finfo(float).eps, (m, ne, op)
+
+
+def _spin_by_orbital_loop(vec):
+    """Reference for the cached sector tables: S+, S- and Sz as the former per-orbital loop applied them."""
+    m, ne = vec.m_spatial, vec.n_electrons
+    occupied = np.zeros((comb(2 * m, ne), 2 * m), dtype=bool)
+    for k, rows in enumerate(combinations(range(2 * m), ne)):
+        occupied[k, list(rows)] = True
+
+    def ladder(from_offset, to_offset):
+        out = np.zeros_like(vec.amplitudes)
+        for p in range(m):
+            src, dst = p + from_offset, p + to_offset
+            lo, hi = sorted((src, dst))
+            movers = occupied[:, src] & ~occupied[:, dst]
+            landed = occupied[:, dst] & ~occupied[:, src]
+            passed = occupied[movers, lo + 1 : hi].sum(axis=1)
+            out[landed] += np.where(passed % 2, -1.0, 1.0) * vec.amplitudes[movers]
+        return out
+
+    n_alpha, n_beta = occupied[:, :m].sum(axis=1), occupied[:, m:].sum(axis=1)
+    return {"S+": ladder(m, 0), "S-": ladder(0, m), "Sz": 0.5 * (n_alpha - n_beta) * vec.amplitudes}
+
+
+@pytest.mark.parametrize("m,ne", [(m, ne) for m in range(1, 4) for ne in range(2 * m + 1)] + [(6, 1), (6, 3), (6, 6)])
+def test_ladders_and_sz_equal_the_per_orbital_loop_bit_for_bit(rng, m, ne):
+    # bincount adds each target's terms in the loop's order, from 0.0, so nothing may differ,
+    # including on the empty tables of Ne = 0 and Ne = 2M.
+    psi, phi = _random_fock_vector(rng, m, ne), _random_fock_vector(rng, m, ne)
+    for op, expected in _spin_by_orbital_loop(psi).items():
+        assert np.array_equal(apply_spin(psi, op).amplitudes, expected), op
+    assert phi.inner(apply_spin(psi, "S+")) == pytest.approx(apply_spin(phi, "S-").inner(psi), abs=1e-12)
+
+
+@pytest.mark.parametrize("m,ne", [(1, 0), (2, 2), (3, 3)])
+def test_cached_sector_tables_are_read_only_and_inputs_are_left_alone(rng, m, ne):
+    for table in spincol.fock._sector(m, ne):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+    psi = _random_fock_vector(rng, m, ne)
+    before = psi.amplitudes.copy()
+    for op in ("S+", "S-", "Sz", "Sx", "Sy"):
+        apply_spin(psi, op)
+    assert np.array_equal(psi.amplitudes, before)
 
 
 def test_fock_vector_rejects_wrong_length():
