@@ -169,27 +169,35 @@ def _validated_metric(s, m: int) -> np.ndarray:
     return s
 
 
-def _metric_applied(coeffs: np.ndarray, metric: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """S @ C_alpha and S @ C_beta of the (2, M, Ne) ``coeffs``; the coefficients themselves without a metric."""
-    if metric is None:
-        return coeffs[0], coeffs[1]
-    return metric @ coeffs[0], metric @ coeffs[1]
+def _metric_applied(coeffs: np.ndarray, metric: np.ndarray | None):
+    """Yields S @ C_alpha, then S @ C_beta, of the (2, M, Ne) ``coeffs``; the halves themselves without a metric.
+
+    S @ C_beta is made only when asked for, so S @ C_alpha can be freed
+    first; the generator keeps no product it has yielded.
+    """
+    for half in coeffs:
+        yield half if metric is None else metric @ half
 
 
 def _block_stack(coeffs: np.ndarray, metric: np.ndarray | None) -> np.ndarray:
     """[o_aa, o_ab, o_bb] of the (2, M, Ne) ``coeffs``, sealed: one metric application and three GEMMs into one stack.
 
-    Overflow is not warned about here; it leaves a non-finite product
-    that the orthonormality gate, or :func:`orthonormalize`, reports.
+    At most two M x Ne temporaries are alive at once: C_alpha^H and S C_alpha
+    for o_aa, C_alpha^H and S C_beta for o_ab, then S C_beta and C_beta^H
+    for o_bb.  Without a metric S C is a view of C, so only one is.
+    Overflow is not warned about here; it leaves a non-finite product that
+    the orthonormality gate, or :func:`orthonormalize`, reports.
     """
     ne = coeffs.shape[2]
     stack = np.empty((3, ne, ne), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        sa, sb = _metric_applied(coeffs, metric)
-        ca_h, cb_h = (c.T for c in coeffs.conj())
-        np.matmul(ca_h, sa, out=stack[0])
+        applied = _metric_applied(coeffs, metric)
+        ca_h = coeffs[0].conj().T
+        np.matmul(ca_h, next(applied), out=stack[0])
+        sb = next(applied)
         np.matmul(ca_h, sb, out=stack[1])
-        np.matmul(cb_h, sb, out=stack[2])
+        del ca_h
+        np.matmul(coeffs[1].conj().T, sb, out=stack[2])
     return _sealed(stack)
 
 

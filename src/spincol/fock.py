@@ -68,6 +68,12 @@ class FockVector:
             )
         object.__setattr__(self, "amplitudes", amplitudes)
 
+    def _of_amplitudes(self, amplitudes: np.ndarray) -> FockVector:
+        """A vector of this one's sector holding ``amplitudes``, which the oracle computed: not checked again."""
+        vec = FockVector.__new__(FockVector)
+        vec.__dict__.update(m_spatial=self.m_spatial, n_electrons=self.n_electrons, amplitudes=amplitudes)
+        return vec
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -128,7 +134,7 @@ def _apply_ladder(vec: FockVector, source: np.ndarray, target: np.ndarray, sign:
     out = np.empty_like(vec.amplitudes)
     out.real = np.bincount(target, moved.real, minlength=len(out))
     out.imag = np.bincount(target, moved.imag, minlength=len(out))
-    return FockVector(vec.m_spatial, vec.n_electrons, out)
+    return vec._of_amplitudes(out)
 
 
 def apply_spin(vec: FockVector, op: str) -> FockVector:
@@ -137,7 +143,7 @@ def apply_spin(vec: FockVector, op: str) -> FockVector:
         return _cartesian(op, apply_spin(vec, "S+"), apply_spin(vec, "S-"))
     _, source, target, sign, sz = _sector(vec.m_spatial, vec.n_electrons)
     if op == "Sz":
-        return FockVector(vec.m_spatial, vec.n_electrons, sz * vec.amplitudes)
+        return vec._of_amplitudes(sz * vec.amplitudes)
     if op == "S+":
         return _apply_ladder(vec, source, target, sign)
     if op == "S-":
@@ -151,7 +157,7 @@ def _cartesian(op: str, plus: FockVector, minus: FockVector) -> FockVector:
         amplitudes = 0.5 * (plus.amplitudes + minus.amplitudes)
     else:
         amplitudes = -0.5j * (plus.amplitudes - minus.amplitudes)
-    return FockVector(plus.m_spatial, plus.n_electrons, amplitudes)
+    return plus._of_amplitudes(amplitudes)
 
 
 def oracle_expectation(det: SpinorDeterminant) -> dict[str, complex]:

@@ -168,4 +168,9 @@ def save_determinant(det: SpinorDeterminant, path) -> None:
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The SHA-256 hex digest of the file's bytes; ``ParseError`` if it cannot be read."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return hashlib.sha256(data).hexdigest()

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -31,6 +32,7 @@ from spincol import (
     su2_rotate,
 )
 from spincol.cli import run
+from spincol.io import file_sha256
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -336,6 +338,13 @@ def test_load_rejects_non_orthonormal_with_hint(tmp_path):
 def test_missing_file_is_parse_error():
     with pytest.raises(ParseError):
         load_determinant("/nonexistent/path/det.json")
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_file_sha256_of_an_unreadable_path_is_parse_error(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(ParseError, match=f"cannot read {re.escape(str(path))}: "):
+        file_sha256(path)
 
 
 # ----- CLI contract -----

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -509,6 +510,48 @@ def _count_calls(monkeypatch, name) -> list:
 
     monkeypatch.setattr(spincol.determinant, name, counting)
     return calls
+
+
+def _former_block_stack(coeffs, metric):
+    """[o_aa, o_ab, o_bb] made with both products S C and a conjugated copy of the buffer alive at once.
+
+    The build must give the same bytes: the same three GEMMs on operands of the same memory layout.
+    """
+    ne = coeffs.shape[2]
+    stack = np.empty((3, ne, ne), dtype=np.complex128)
+    sa, sb = (coeffs[0], coeffs[1]) if metric is None else (metric @ coeffs[0], metric @ coeffs[1])
+    ca_h, cb_h = (c.T for c in coeffs.conj())
+    np.matmul(ca_h, sa, out=stack[0])
+    np.matmul(ca_h, sb, out=stack[1])
+    np.matmul(cb_h, sb, out=stack[2])
+    return stack
+
+
+def _traced(build):
+    """``build()`` and the peak of the bytes allocated while it ran, as tracemalloc (which numpy reports to) counts them."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+def test_the_block_build_holds_one_spin_halfs_temporaries_at_a_time(with_metric, rotated):
+    # An M x Ne complex temporary is 720 kB here, the (3, Ne, Ne) stack 1.5 of them.  With a metric
+    # the build holds at most two at once (C^H and S C of one half each); without one, one C^H.
+    m, ne = 300, 150
+    rng = np.random.default_rng(23)
+    halves = helpers.random_complex(rng, m, ne), helpers.random_complex(rng, m, ne)
+    det = SpinorDeterminant(m, ne, *halves, helpers.random_pd_metric(rng, m) if with_metric else None)
+    if rotated:
+        det = su2_rotate(det, SpinRotation(helpers.random_unit_vector(rng), 0.7))
+    coeffs = det._coeffs  # a rotation mixes them here, so only the block build is traced
+    stack, peak = _traced(lambda: det._blocks._stack)
+    temporaries = 2 if with_metric else 1
+    assert peak <= 1.05 * (stack.nbytes + temporaries * m * ne * 16)
+    assert stack.tobytes() == _former_block_stack(coeffs, det.ao_overlap).tobytes()
 
 
 def test_the_tilted_determinant_builds_no_blocks_and_mixes_no_coefficients(monkeypatch):

@@ -246,6 +246,24 @@ def test_cached_sector_tables_are_read_only_and_inputs_are_left_alone(rng, m, ne
     assert np.array_equal(psi.amplitudes, before)
 
 
+def test_the_oracle_builds_its_own_vectors_without_revalidating_them(rng, monkeypatch):
+    # Only vectors from outside go through the checking constructor; every result keeps its sector.
+    psi = _random_fock_vector(rng, 3, 2)
+    det = gen_random_gchf(3, 2, seed=4)
+    checks = []
+    original = FockVector.__post_init__
+    monkeypatch.setattr(FockVector, "__post_init__", lambda self: checks.append(self) or original(self))
+    for op in ("S+", "S-", "Sz", "Sx", "Sy"):
+        result = apply_spin(psi, op)
+        assert isinstance(result, FockVector) and (result.m_spatial, result.n_electrons) == (3, 2)
+        assert result.amplitudes.dtype == np.complex128 and result.amplitudes.shape == psi.amplitudes.shape
+        rebuilt = FockVector(3, 2, result.amplitudes)
+        assert rebuilt.amplitudes.tobytes() == result.amplitudes.tobytes()
+    assert len(checks) == 5  # the five rebuilt vectors
+    oracle_expectation(det)
+    assert len(checks) == 6  # and the expansion of det
+
+
 def test_fock_vector_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
         FockVector(2, 2, np.zeros(5))
