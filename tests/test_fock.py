@@ -3,7 +3,8 @@ so it gets validated first and on its own terms: expansion amplitudes against
 hand-countable cases, unit norm via Cauchy-Binet, operator algebra via the
 su(2) commutation relations, and Hermiticity of the matrix elements."""
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -83,13 +84,50 @@ def test_expand_counts_all_patterns():
     assert len(vec.amplitudes) == comb(6, 2)
 
 
-@pytest.mark.parametrize("m,ne,seed", [(3, 1, 2), (3, 3, 4)])
-def test_expand_amplitudes_are_the_minors(m, ne, seed):
-    det = gen_random_gchf(m, ne, seed)
-    w = det.stacked()
-    vec = expand(det)
-    for k, rows in enumerate(combinations(range(2 * m), ne)):
-        assert vec.amplitudes[k] == np.linalg.det(w[list(rows)])
+# The cofactor expansion's error bound, fixed before any run: c * Ne^2 * eps with c = 1.
+EPS = np.finfo(float).eps
+
+
+def _minor_bound(ne):
+    return ne**2 * EPS
+
+
+def _leibniz(w, rows):
+    """Exact minor of the float matrix ``w`` on ``rows``, as (real, imag) Fractions: Leibniz sum."""
+    entries = [[(Fraction(z.real), Fraction(z.imag)) for z in w[r]] for r in rows]
+    total_re = total_im = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+        re, im = Fraction(1), Fraction(0)
+        for i, j in enumerate(perm):
+            er, ei = entries[i][j]
+            re, im = re * er - im * ei, re * ei + im * er
+        total_re, total_im = (total_re - re, total_im - im) if inversions % 2 else (total_re + re, total_im + im)
+    return total_re, total_im
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_expand_amplitudes_are_the_exact_minors(m):
+    for ne in range(1, 2 * m + 1):
+        det = gen_random_gchf(m, ne, seed=10 * m + ne)
+        w = det.stacked()
+        amplitudes = expand(det).amplitudes
+        for k, rows in enumerate(combinations(range(2 * m), ne)):
+            re, im = _leibniz(w, rows)
+            error = abs(complex(float(Fraction(amplitudes[k].real) - re), float(Fraction(amplitudes[k].imag) - im)))
+            assert error <= _minor_bound(ne), (m, ne, rows, error)
+
+
+@pytest.mark.parametrize("metric", [False, True])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_expand_amplitudes_match_lapack_minors(m, metric):
+    for ne in range(1, 2 * m + 1):
+        seed = 100 * m + ne
+        det = helpers.random_metric_determinant(m, ne, seed) if metric else gen_random_gchf(m, ne, seed)
+        w = to_identity_metric(det).stacked()
+        expected = np.linalg.det(w[np.array(list(combinations(range(2 * m), ne)))])
+        error = np.max(np.abs(expand(det).amplitudes - expected))
+        assert error <= _minor_bound(ne), (m, ne, error)
 
 
 def test_expand_norm_cauchy_binet():
@@ -125,6 +163,47 @@ def test_expand_guard_rail():
     det = gen_random_gchf(8, 8, seed=0)
     with pytest.raises(TooLarge):
         expand(det)
+
+
+def test_expand_guard_counts_the_largest_cofactor_level():
+    # M=8, Ne=15 has 16 patterns, but its eighth level holds C(16, 8) = 12870 minors.
+    with pytest.raises(TooLarge, match="12870"):
+        expand(gen_random_gchf(8, 15, seed=0))
+    assert expand(gen_random_gchf(7, 13, seed=0)).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m,ne", [(100, 1), (40, 2)])
+def test_expand_runs_on_a_wide_basis_with_few_electrons(m, ne):
+    det = gen_random_gchf(m, ne, seed=3)
+    w = det.stacked()
+    vec = expand(det)
+    if ne == 1:
+        assert np.array_equal(vec.amplitudes, w[:, 0])
+    else:
+        i, j = np.array(list(combinations(range(2 * m), 2))).T
+        expected = w[i, 0] * w[j, 1] - w[j, 0] * w[i, 1]
+        assert np.max(np.abs(vec.amplitudes - expected)) <= _minor_bound(ne)
+    assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cofactor_tables_equal_a_brute_force_map(m):
+    # Entry (j, s) of level k's sub table is the index of S without S_j in level k-1,
+    # shifted by C(2M, k-1) into [minors, -minors] where (-1)**(j+k-1) is negative.
+    for k in range(2, 2 * m + 1):
+        below = {rows: index for index, rows in enumerate(combinations(range(2 * m), k - 1))}
+        rows, sub = spincol.fock._level(m, k)
+        subsets = list(combinations(range(2 * m), k))
+        assert np.array_equal(rows, np.array(subsets).T), (m, k)
+        expected = [[below[s[:j] + s[j + 1:]] + len(below) * ((j + k - 1) % 2) for s in subsets] for j in range(k)]
+        assert np.array_equal(sub, expected), (m, k)
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 2), (3, 3), (6, 6)])
+def test_cached_cofactor_tables_are_read_only(m, k):
+    for table in spincol.fock._level(m, k):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
 
 
 def test_oracle_guard_rail_on_basis_size():
@@ -267,6 +346,16 @@ def test_the_oracle_builds_its_own_vectors_without_revalidating_them(rng, monkey
 def test_fock_vector_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
         FockVector(2, 2, np.zeros(5))
+
+
+@pytest.mark.parametrize("left,right", [((2, 1, 4), (2, 3, 4)), ((1, 2, 1), (1, 0, 1)), ((2, 1, 4), (1, 1, 2))])
+def test_inner_product_needs_one_sector(left, right):
+    # Different electron counts, or different bases, are not one space: no number is returned.
+    u, v = (FockVector(m, ne, np.ones(n)) for m, ne, n in (left, right))
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(DimensionMismatch, match=rf"\({a.m_spatial}, {a.n_electrons}\).*\({b.m_spatial}, {b.n_electrons}\)"):
+            a.inner(b)
+    assert u.inner(u) == left[2]
 
 
 def test_su2_commutators_on_random_vectors(rng):
