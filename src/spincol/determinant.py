@@ -68,6 +68,22 @@ def _numbers(value, what: str, error: type[SpincolError] = DimensionMismatch, re
     return arr
 
 
+def _dimensions(basis_dim, n_electrons) -> tuple[int, int]:
+    """``basis_dim`` and ``n_electrons`` as ints, after checking 1 <= n_electrons <= 2 * basis_dim."""
+    dims = []
+    for name, value in (("basis_dim", basis_dim), ("n_electrons", n_electrons)):
+        try:
+            dims.append(operator.index(value))
+        except TypeError:
+            raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+    m, ne = dims
+    if m < 1 or ne < 1:
+        raise DimensionMismatch(f"need basis_dim >= 1 and n_electrons >= 1, got {m}, {ne}")
+    if ne > 2 * m:
+        raise DimensionMismatch(f"{ne} electrons do not fit in {2 * m} spin-orbitals")
+    return m, ne
+
+
 def _sealed(arr: np.ndarray) -> np.ndarray:
     """A view of ``arr``, frozen in place, that cannot be made writeable again."""
     arr.setflags(write=False)
@@ -226,15 +242,7 @@ class SpinorDeterminant:
     """
 
     def __init__(self, basis_dim: int, n_electrons: int, coeff_alpha, coeff_beta, ao_overlap=None):
-        try:
-            m, ne = operator.index(basis_dim), operator.index(n_electrons)
-        except TypeError:
-            got = f"{basis_dim!r}, {n_electrons!r}"
-            raise DimensionMismatch(f"basis_dim and n_electrons must be integers, got {got}") from None
-        if m < 1 or ne < 1:
-            raise DimensionMismatch(f"need basis_dim >= 1 and n_electrons >= 1, got {m}, {ne}")
-        if ne > 2 * m:
-            raise DimensionMismatch(f"{ne} electrons do not fit in {2 * m} spin-orbitals")
+        m, ne = _dimensions(basis_dim, n_electrons)
         ca, cb = _numbers(coeff_alpha, "coeff_alpha"), _numbers(coeff_beta, "coeff_beta")
         if ca.shape != (m, ne) or cb.shape != (m, ne):
             raise DimensionMismatch(
@@ -340,27 +348,17 @@ class OverlapBlocks:
 
     ``o_aa`` and ``o_bb`` are Hermitian, ``o_ba`` is the conjugate transpose
     of ``o_ab``, and for an orthonormal determinant ``o_aa + o_bb`` is the
-    identity.  :func:`build_overlap_blocks` returns the determinant's own
+    identity.  Blocks come only from a determinant, and have no public
+    constructor: :func:`build_overlap_blocks` returns the determinant's own
     blocks, validated.  A blocks object is immutable.
 
     The blocks are read-only views of one frozen (3, Ne, Ne) stack
     [o_aa, o_ab, o_bb], and ``o_ba`` is computed from ``o_ab`` when first
-    read.  A determinant's blocks are computed into such a stack; blocks
-    built by hand are copied into one (so a caller's writeable array stays
-    its own).  What the spin formulas read is one record, computed once,
+    read.  What the spin formulas read is one record, computed once,
     when first read (:meth:`_record`).  Blocks of a rotated determinant
     are given it, and both gate values, by :meth:`SpinorDeterminant._rotated`,
     and build their stack like any determinant's when first read.
     """
-
-    def __init__(self, o_aa, o_ab, o_bb):
-        blocks = [_numbers(block, name) for name, block in zip(("o_aa", "o_ab", "o_bb"), (o_aa, o_ab, o_bb))]
-        ne = blocks[0].shape[0] if blocks[0].ndim == 2 else 0
-        for name, block in zip(("o_aa", "o_ab", "o_bb"), blocks):
-            if ne < 1 or block.shape != (ne, ne):
-                want = f"{ne}x{ne}" if ne else "a square matrix with at least one row"
-                raise DimensionMismatch(f"{name} must be {want}, got shape {block.shape}")
-        self.__dict__.update(n_electrons=ne, _stack=_sealed(np.array(blocks, dtype=np.complex128)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"OverlapBlocks is immutable; cannot set {name!r}")
@@ -400,7 +398,7 @@ class OverlapBlocks:
 
     @functools.cached_property
     def _identity_deviation(self) -> float:
-        """max|o_aa + o_bb - I|, read by the orthonormality gate and by :meth:`validate`."""
+        """max|o_aa + o_bb - I|, read by the orthonormality gate."""
         deviation = self._gram()
         deviation.reshape(-1)[:: self.n_electrons + 1] -= 1.0
         return float(np.max(np.abs(deviation)))
@@ -431,17 +429,17 @@ class OverlapBlocks:
         return _SpinRecord(complex(t_aa), complex(t_bb), s, np.eye(3) * (self.n_electrons / 4.0) - g)
 
     def validate(self) -> None:
-        """Check both Hermiticity residuals and the deviation from the identity.
+        """Check both Hermiticity residuals.
 
-        Every blocks object is square by construction; a rotated one checks
-        the values it was seeded with, so its arrays are not built here.
+        The deviation from the identity is the determinant's orthonormality
+        residual, which :func:`build_overlap_blocks` gates first.  A rotated
+        blocks object checks the values it was seeded with, so its arrays
+        are not built here.
         """
         for name, residual in self._hermiticity_residuals.items():
             check_within(
                 residual, HERMITICITY_TOL, f"{name} Hermiticity residual", NonHermitianResult
             )
-        what = "o_aa + o_bb deviation from identity"
-        check_within(self._identity_deviation, ORTHONORMALITY_INPUT_TOL, what, NotOrthonormal)
 
 
 def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
@@ -486,15 +484,6 @@ def _inverse_sqrt(gram: np.ndarray) -> tuple[np.ndarray, float]:
             f"Gram matrix smallest eigenvalue {lowest:.3e} is not above {GRAM_MIN_EIGENVALUE:g}"
         )
     return (v * (1.0 / np.sqrt(w))) @ v.conj().T, lowest
-
-
-def lowdin_orthonormalize(columns: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Symmetric orthonormalization of ``columns`` given their Gram matrix.
-
-    Returns ``columns @ gram**(-1/2)``; the column span is preserved and the
-    result is the orthonormal set closest to the input in least-squares sense.
-    """
-    return columns @ _inverse_sqrt(gram)[0]
 
 
 def _derived(parent: SpinorDeterminant, coeffs: np.ndarray) -> SpinorDeterminant:

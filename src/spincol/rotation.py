@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collinearity import _check_unit
-from .determinant import SpinorDeterminant, _numbers, lowdin_orthonormalize
+from .determinant import SpinorDeterminant, _check_finite, _dimensions, _inverse_sqrt, _numbers
 from .errors import DimensionMismatch, SpincolError
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -97,7 +97,11 @@ def _orthonormal_columns(columns, what: str) -> np.ndarray:
         raise DimensionMismatch(f"{what} must be a 2-d matrix")
     if cols.shape[1] == 0:
         return cols
-    return lowdin_orthonormalize(cols, cols.conj().T @ cols)
+    _check_finite(what, cols)
+    # An overflowing Gram matrix is reported by the eigenvalue gate of _inverse_sqrt.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = cols.conj().T @ cols
+    return cols @ _inverse_sqrt(gram)[0]
 
 
 def _collinear(psi_a: np.ndarray, psi_b: np.ndarray) -> SpinorDeterminant:
@@ -154,8 +158,7 @@ def gen_random_gchf(m: int, n_electrons: int, seed: int) -> SpinorDeterminant:
     Haar sampling follows the QR recipe: QR-factor a complex Gaussian matrix
     and absorb the phases of the R diagonal into Q.
     """
-    if n_electrons > 2 * m:
-        raise DimensionMismatch(f"{n_electrons} electrons do not fit in {2 * m} spin-orbitals")
+    m, n_electrons = _dimensions(m, n_electrons)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((2 * m, 2 * m)) + 1j * rng.standard_normal((2 * m, 2 * m)))
     z /= np.sqrt(2.0)

@@ -3,14 +3,27 @@
 import numpy as np
 
 from spincol import OverlapBlocks, SpinorDeterminant, gen_dods, gen_rhf, gen_rohf, orthonormalize
+from spincol.determinant import _sealed
 
 EPS = np.finfo(float).eps
 # Everything a rotation seeds from the parent's, besides the Hermiticity residual bounds.
 SEEDED = ("_record", "_identity_deviation")
 
 
+def stack_blocks(o_aa, o_ab, o_bb):
+    """Blocks over a sealed stack of the given arrays, as a determinant's are made: for injecting corrupted blocks."""
+    return OverlapBlocks._of_stack(_sealed(np.array([o_aa, o_ab, o_bb], dtype=complex)))
+
+
 def random_complex(rng, rows, cols):
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
+
+
+def haar_unitary(rng, n):
+    """An n x n unitary drawn from the Haar measure: QR of a complex Gaussian, R's diagonal phases absorbed."""
+    q, r = np.linalg.qr(random_complex(rng, n, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def random_unit_vector(rng):

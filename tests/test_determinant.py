@@ -271,11 +271,7 @@ def test_build_rejects_non_orthonormal():
 
 def test_blocks_validate_catches_corruption():
     good = build_overlap_blocks(gen_random_gchf(2, 2, seed=1))
-    tampered = OverlapBlocks(
-        o_aa=good.o_aa + np.diag([0.1j, 0.0]),
-        o_ab=good.o_ab,
-        o_bb=good.o_bb,
-    )
+    tampered = helpers.stack_blocks(good.o_aa + np.diag([0.1j, 0.0]), good.o_ab, good.o_bb)
     # The residuals are computed once per blocks object but checked on every call.
     for _ in range(3):
         with pytest.raises(NonHermitianResult, match="o_aa Hermiticity"):
@@ -320,32 +316,10 @@ def test_every_build_returns_the_determinants_one_blocks():
             block.setflags(write=True)
 
 
-def test_hand_built_blocks_copy_a_writeable_array():
+def test_overlap_blocks_have_no_public_constructor():
     good = build_overlap_blocks(gen_random_gchf(2, 2, seed=1))
-    o_aa = np.array(good.o_aa)
-    blocks = OverlapBlocks(o_aa=o_aa, o_ab=good.o_ab, o_bb=good.o_bb)
-    assert o_aa.flags.writeable
-    o_aa[0, 0] += 1.0
-    assert blocks.o_aa[0, 0] == good.o_aa[0, 0]
-    blocks.validate()
-
-
-def test_hand_built_blocks_of_the_wrong_shape_are_rejected():
-    good = build_overlap_blocks(gen_random_gchf(2, 2, seed=1))
-    with pytest.raises(DimensionMismatch, match="o_ab must be 2x2"):
-        OverlapBlocks(o_aa=good.o_aa, o_ab=good.o_ab[:, :1], o_bb=good.o_bb)
-    with pytest.raises(DimensionMismatch, match="o_aa must be 2x2"):
-        OverlapBlocks(o_aa=good.o_aa[:, :1], o_ab=good.o_ab, o_bb=good.o_bb)
-
-
-@pytest.mark.parametrize(
-    "block", [1.0, np.ones(3), np.zeros((0, 0)), np.ones((2, 3))], ids=["scalar", "1-d", "0x0", "non-square"]
-)
-def test_hand_built_blocks_must_be_square_with_at_least_one_electron(block):
-    # Each raises the typed error naming o_aa: not an IndexError, nor a 0x0 stack that
-    # validate() or the spin formulas would fail on, or report zeros for.
-    with pytest.raises(DimensionMismatch, match="o_aa must be"):
-        OverlapBlocks(block, block, block)
+    with pytest.raises(TypeError):
+        OverlapBlocks(good.o_aa, good.o_ab, good.o_bb)
 
 
 _RAGGED = [[1.0], [0.0, 1.0]]
@@ -357,12 +331,13 @@ _COLUMN = [[1.0], [0.0]]
     [
         (lambda: SpinorDeterminant(2, 1, _RAGGED, _COLUMN), DimensionMismatch, "coeff_alpha"),
         (lambda: SpinorDeterminant(2, 1, _COLUMN, _COLUMN, _RAGGED), DimensionMismatch, "ao_overlap"),
-        (lambda: OverlapBlocks(_RAGGED, [[1.0]], [[1.0]]), DimensionMismatch, "o_aa"),
         (lambda: SpinorDeterminant(1, 1, [[1.0]], [["a"]]), DimensionMismatch, "coeff_beta"),
         (lambda: SpinorDeterminant(1, 1, [[1.0]], [[0.0]], [["a"]]), DimensionMismatch, "ao_overlap"),
-        (lambda: OverlapBlocks([[1.0]], [["a"]], [[0.0]]), DimensionMismatch, "o_ab"),
         (lambda: SpinorDeterminant(1, 1, [[None]], [[0.0]]), DimensionMismatch, "coeff_alpha"),
         (lambda: SpinorDeterminant(1.0, 1, [[1.0]], [[0.0]]), DimensionMismatch, "basis_dim"),
+        (lambda: gen_random_gchf(2.5, 1, 1), DimensionMismatch, "basis_dim"),
+        (lambda: gen_random_gchf(2, 1.5, 1), DimensionMismatch, "n_electrons"),
+        (lambda: gen_random_gchf("2", 1, 1), DimensionMismatch, "basis_dim"),
         (lambda: SpinRotation([0.0, 0.0, 1.0], "x"), SpincolError, "rotation angle"),
         (lambda: align_to_axis(gen_random_gchf(2, 1, seed=1), ["a", "b", "c"]), NotUnitVector, "direction"),
         (lambda: align_to_axis(gen_random_gchf(2, 1, seed=1), [1j, 0.0, 0.0]), NotUnitVector, "direction"),
@@ -380,8 +355,9 @@ _COLUMN = [[1.0], [0.0]]
         (lambda: FockVector(1, 3, []), DimensionMismatch, "n_electrons"),
     ],
     ids=[
-        "ragged-coefficients", "ragged-metric", "ragged-block", "string-coefficient", "string-metric",
-        "string-block", "none-coefficient", "float-dimension", "string-angle", "string-direction",
+        "ragged-coefficients", "ragged-metric", "string-coefficient", "string-metric",
+        "none-coefficient", "float-dimension", "float-random-basis", "float-random-electrons",
+        "string-random-basis", "string-angle", "string-direction",
         "complex-direction", "string-a", "ragged-orbitals", "string-amplitudes", "ragged-amplitudes",
         "float-fock-basis", "string-fock-basis", "none-fock-basis", "negative-fock-basis", "empty-fock-basis",
         "float-fock-electrons", "negative-fock-electrons", "overfull-fock-sector",
@@ -412,7 +388,7 @@ def test_nan_in_a_hand_built_block_fails_validation(where):
     good = build_overlap_blocks(gen_random_gchf(200, 200, seed=3))
     o_aa = np.array(good.o_aa)
     o_aa[where] = np.nan
-    tampered = OverlapBlocks(o_aa=o_aa, o_ab=good.o_ab, o_bb=good.o_bb)
+    tampered = helpers.stack_blocks(o_aa, good.o_ab, good.o_bb)
     with pytest.raises(NonHermitianResult, match="o_aa Hermiticity residual nan"):
         tampered.validate()
 
@@ -876,7 +852,7 @@ def test_rotating_a_non_hermitian_parent_still_fails_validation(tampered):
     good = det._blocks
     parts = {"o_aa": good.o_aa, "o_ab": good.o_ab, "o_bb": good.o_bb}
     parts[tampered] = parts[tampered] + np.diag([1e-11j, 0.0, 0.0])
-    det.__dict__["_blocks"] = OverlapBlocks(**parts)
+    det.__dict__["_blocks"] = helpers.stack_blocks(**parts)
     residuals = det._blocks._hermiticity_residuals
     larger = residuals[tampered]
     assert larger == max(residuals.values()) and larger > 1e-12

@@ -24,6 +24,7 @@ from spincol import (
     decompose_s2,
     electron_counts,
     expect_s2,
+    gen_dods,
     gen_random_gchf,
     gen_rhf,
     gen_rohf,
@@ -463,6 +464,26 @@ def test_generators_reject_dependent_orbitals():
         gen_rhf(np.hstack([col, col]))
     with pytest.raises(LinearlyDependent):
         gen_rohf(col, col)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: gen_rhf([[np.nan], [1.0]]), SpincolError, "^orbitals has a non-finite entry"),
+        (lambda: gen_dods([[np.inf], [1.0]], [[1.0], [0.0]]), SpincolError, "^alpha_orbitals has a non-finite"),
+        (lambda: gen_dods([[1.0], [0.0]], [[0.0], [-np.inf]]), SpincolError, "^beta_orbitals has a non-finite"),
+        (lambda: gen_rohf([[np.nan], [1.0]], [[0.0], [1.0]]), SpincolError, "^orbitals has a non-finite entry"),
+        # Finite entries whose Gram matrix overflows: the eigenvalue gate reports it.
+        (lambda: gen_rohf([[1e200], [1.0]], [[0.0], [1.0]]), LinearlyDependent, "smallest eigenvalue nan"),
+        (lambda: gen_rhf([[1e200, 1e200], [1.0, -1.0]]), LinearlyDependent, "smallest eigenvalue nan"),
+    ],
+    ids=["nan-rhf", "inf-dods-alpha", "inf-dods-beta", "nan-rohf", "overflow-rohf", "overflow-rhf"],
+)
+def test_generators_reject_non_finite_orbitals_without_a_warning(call, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["axis", "antipode"])

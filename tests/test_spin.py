@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 import helpers
 from spincol import (
     NonHermitianResult,
-    OverlapBlocks,
     SpinorDeterminant,
     a_matrix,
+    analyze_collinearity,
     build_overlap_blocks,
     decompose_s2,
+    electron_counts,
     expect_s2,
     expect_sminus_splus,
     expect_splus,
@@ -247,28 +248,91 @@ def test_global_phase_invariance(seed, column, angle):
 
 def test_decomposition_invariant_under_spin_swap():
     for seed in range(6):
-        blocks = build_overlap_blocks(gen_random_gchf(3, 3, seed))
-        swapped = OverlapBlocks(o_aa=blocks.o_bb, o_ab=blocks.o_ba, o_bb=blocks.o_aa)
-        d1, d2 = decompose_s2(blocks), decompose_s2(swapped)
+        det = gen_random_gchf(3, 3, seed)
+        swapped = SpinorDeterminant(3, 3, det.coeff_beta, det.coeff_alpha)
+        d1, d2 = decompose_s2(build_overlap_blocks(det)), decompose_s2(build_overlap_blocks(swapped))
         assert d1.rohf_term == pytest.approx(d2.rohf_term, abs=1e-12)
         assert d1.z_noncollinearity == pytest.approx(d2.z_noncollinearity, abs=1e-12)
         assert d1.spin_contamination == pytest.approx(d2.spin_contamination, abs=1e-12)
         assert d1.xy_perpendicularity == pytest.approx(d2.xy_perpendicularity, abs=1e-12)
 
 
+def _reported_numbers(det):
+    """N_alpha, N_beta, <S>, A, col, the four terms of <S^2> and their total."""
+    blocks = build_overlap_blocks(det)
+    d = decompose_s2(blocks)
+    return np.array(
+        [
+            *electron_counts(blocks),
+            *spin_vector(blocks).as_array(),
+            *a_matrix(blocks).ravel(),
+            analyze_collinearity(blocks).col,
+            *d.terms(),
+            d.total,
+        ]
+    )
+
+
+def _invariance_case(seed, m, fill, with_metric):
+    """A random GCHF determinant over M spatial functions, holding a share ``fill`` of 2M electrons (at least one).
+
+    It is over a random metric if asked; the generator is returned for the transformation's draws.
+    """
+    det = gen_random_gchf(m, max(1, round(fill * 2 * m)), seed)
+    rng = np.random.default_rng(seed)
+    if with_metric:
+        det = helpers.over_metric(det, helpers.random_pd_metric(rng, m))
+    return det, rng
+
+
+def _assert_same_numbers(det, transformed):
+    # c = 16 was fixed before the run; a failure is a defect, not a reason to widen it.
+    ne = det.n_electrons
+    deviation = np.max(np.abs(_reported_numbers(transformed) - _reported_numbers(det)))
+    assert deviation <= 16 * ne * helpers.EPS * max(1, ne)
+
+
+_INVARIANCE_CASES = given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    m=st.integers(min_value=1, max_value=40),
+    fill=st.floats(min_value=0.0, max_value=1.0),
+    with_metric=st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@_INVARIANCE_CASES
+def test_every_number_is_invariant_under_orbital_mixing(seed, m, fill, with_metric):
+    # C -> C U with U a Haar unitary: the same state, so the same numbers.
+    det, rng = _invariance_case(seed, m, fill, with_metric)
+    u = helpers.haar_unitary(rng, det.n_electrons)
+    mixed = SpinorDeterminant(m, det.n_electrons, det.coeff_alpha @ u, det.coeff_beta @ u, det.ao_overlap)
+    _assert_same_numbers(det, mixed)
+
+
+@settings(max_examples=40, deadline=None)
+@_INVARIANCE_CASES
+def test_every_number_is_invariant_under_a_change_of_spatial_basis(seed, m, fill, with_metric):
+    # (C, S) -> (V^-1 C, V^H S V) with V = Q diag(d), Q a Haar unitary and d in [0.5, 2].
+    det, rng = _invariance_case(seed, m, fill, with_metric)
+    q, d = helpers.haar_unitary(rng, m), rng.uniform(0.5, 2.0, m)
+    v, v_inv = q * d, q.conj().T / d[:, None]
+    s = np.eye(m) if det.ao_overlap is None else det.ao_overlap
+    s_new = v.conj().T @ s @ v
+    s_new = 0.5 * (s_new + s_new.conj().T)
+    changed = SpinorDeterminant(m, det.n_electrons, v_inv @ det.coeff_alpha, v_inv @ det.coeff_beta, s_new)
+    _assert_same_numbers(det, changed)
+
+
 def test_imaginary_residue_raises():
     good = build_overlap_blocks(gen_random_gchf(2, 2, seed=6))
-    corrupt = OverlapBlocks(
-        o_aa=good.o_aa + 1e-3j * np.eye(2),
-        o_ab=good.o_ab,
-        o_bb=good.o_bb,
-    )
+    corrupt = helpers.stack_blocks(good.o_aa + 1e-3j * np.eye(2), good.o_ab, good.o_bb)
     with pytest.raises(NonHermitianResult):
         expect_sz(corrupt)
 
 
 def test_decomposition_rejects_imaginary_trace_above_1e_12():
     good = build_overlap_blocks(gen_random_gchf(2, 2, seed=6))
-    corrupt = OverlapBlocks(o_aa=good.o_aa + np.diag([1e-11j, 0.0]), o_ab=good.o_ab, o_bb=good.o_bb)
+    corrupt = helpers.stack_blocks(good.o_aa + np.diag([1e-11j, 0.0]), good.o_ab, good.o_bb)
     with pytest.raises(NonHermitianResult, match="N_alpha"):
         decompose_s2(corrupt)
