@@ -49,7 +49,7 @@ ORTHONORMALITY_INPUT_TOL = 1e-8
 HERMITICITY_TOL = 1e-12
 METRIC_MIN_EIGENVALUE = 1e-10
 GRAM_MIN_EIGENVALUE = 1e-12
-# Quantities that must be real are checked, never silently truncated.
+# N_alpha and N_beta must be real: validate checks them, never silently truncates.
 IMAG_TOL = 1e-12
 
 
@@ -154,19 +154,12 @@ class _PendingMix(functools.partial):
 
 
 class _SpinRecord(NamedTuple):
-    """What every spin formula reads: N_alpha = tr o_aa and N_beta = tr o_bb (complex, to be gated), <S> and A."""
+    """What every spin formula reads: N_alpha = tr o_aa and N_beta = tr o_bb (complex, gated by validate), <S> and A."""
 
     n_alpha: complex
     n_beta: complex
     s: np.ndarray
     a: np.ndarray
-
-
-def _real(value: complex, what: str) -> float:
-    """The real part of ``value``, after gating its imaginary part at ``IMAG_TOL``."""
-    value = complex(value)
-    check_within(abs(value.imag), IMAG_TOL, f"imaginary part of {what}", NonHermitianResult)
-    return value.real
 
 
 def _validated_metric(s, m: int) -> np.ndarray:
@@ -360,6 +353,9 @@ class OverlapBlocks:
     and build their stack like any determinant's when first read.
     """
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("OverlapBlocks has no public constructor; use build_overlap_blocks(det)")
+
     def __setattr__(self, name, value):
         raise AttributeError(f"OverlapBlocks is immutable; cannot set {name!r}")
 
@@ -429,17 +425,19 @@ class OverlapBlocks:
         return _SpinRecord(complex(t_aa), complex(t_bb), s, np.eye(3) * (self.n_electrons / 4.0) - g)
 
     def validate(self) -> None:
-        """Check both Hermiticity residuals.
+        """Check both Hermiticity residuals, then the imaginary parts of N_alpha and N_beta.
 
-        The deviation from the identity is the determinant's orthonormality
-        residual, which :func:`build_overlap_blocks` gates first.  A rotated
-        blocks object checks the values it was seeded with, so its arrays
-        are not built here.
+        No spin formula gates the record again; each takes real parts.  The
+        identity deviation is the orthonormality residual, which
+        :func:`build_overlap_blocks` gates first.  A rotated blocks object
+        checks the values it was seeded with, so its arrays are not built here.
         """
         for name, residual in self._hermiticity_residuals.items():
             check_within(
                 residual, HERMITICITY_TOL, f"{name} Hermiticity residual", NonHermitianResult
             )
+        for name, value in zip(("N_alpha", "N_beta"), self._record):
+            check_within(abs(value.imag), IMAG_TOL, f"imaginary part of {name}", NonHermitianResult)
 
 
 def build_overlap_blocks(det: SpinorDeterminant) -> OverlapBlocks:
@@ -471,8 +469,7 @@ def electron_counts(blocks: OverlapBlocks) -> tuple[float, float]:
     Both are generally non-integer for a spin-mixed determinant; their sum is
     the (integer) electron count.
     """
-    n_alpha, n_beta, _, _ = blocks._record
-    return _real(n_alpha, "N_alpha"), _real(n_beta, "N_beta")
+    return blocks._record.n_alpha.real, blocks._record.n_beta.real
 
 
 def _inverse_sqrt(gram: np.ndarray) -> tuple[np.ndarray, float]:

@@ -136,6 +136,8 @@ def gen_rohf(closed, open_) -> SpinorDeterminant:
     open_ = np.array(_numbers(open_, "open_"), dtype=complex)
     if closed.ndim != 2 or open_.ndim != 2 or closed.shape[0] != open_.shape[0]:
         raise DimensionMismatch("closed and open orbital blocks must share the basis dimension")
+    _check_finite("closed", closed)
+    _check_finite("open_", open_)
     psi = _orthonormal_columns(np.hstack([closed, open_]), "orbitals")
     return _collinear(psi, psi[:, : closed.shape[1]])
 

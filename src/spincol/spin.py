@@ -16,15 +16,15 @@ vector s = <S> and the 3x3 spin covariance matrix A (see
 ``decompose_s2`` splits <S^2> into the restricted-open-shell term s(s+1),
 s = |N_alpha - N_beta| / 2, the z-noncollinearity A_zz, the spin
 contamination A_xx + A_yy - s and the xy-perpendicularity s_x^2 + s_y^2.
-A quantity that must be real gates the imaginary residue of the occupation
-it stands for (N_beta = Ne/2 - s_z in <S-S+>).  hbar = 1 throughout.
+The occupations' imaginary residue is gated once, by OverlapBlocks.validate,
+so each formula takes real parts.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .determinant import OverlapBlocks, _real
+from .determinant import OverlapBlocks
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class S2Decomposition:
 def expect_sz(blocks: OverlapBlocks) -> float:
     """<Sz> = (N_alpha - N_beta) / 2."""
     n_alpha, n_beta, _, _ = blocks._record
-    return _real((n_alpha - n_beta) / 2.0, "<Sz>")
+    return ((n_alpha - n_beta) / 2.0).real
 
 
 def expect_sz2(blocks: OverlapBlocks) -> float:
@@ -64,21 +64,20 @@ def expect_sz2(blocks: OverlapBlocks) -> float:
     return sz * sz + float(blocks._record.a[2, 2])
 
 
-def _ladder_square(blocks: OverlapBlocks, sign: float, what: str) -> float:
-    """A_xx + A_yy + s_x^2 + s_y^2 + sign s_z, after gating N_alpha (sign +1) or N_beta as ``what``."""
-    n_alpha, n_beta, s, a = blocks._record
-    _real(n_alpha if sign > 0 else n_beta, what)
+def _ladder_square(blocks: OverlapBlocks, sign: float) -> float:
+    """A_xx + A_yy + s_x^2 + s_y^2 + sign s_z."""
+    _, _, s, a = blocks._record
     return float(a[0, 0] + a[1, 1] + s[0] * s[0] + s[1] * s[1] + sign * s[2])
 
 
 def expect_sminus_splus(blocks: OverlapBlocks) -> float:
     """<S-S+>, the squared norm of S+ applied to the determinant."""
-    return _ladder_square(blocks, -1.0, "<S-S+>")
+    return _ladder_square(blocks, -1.0)
 
 
 def expect_splus_sminus(blocks: OverlapBlocks) -> float:
     """<S+S->, the squared norm of S- applied to the determinant."""
-    return _ladder_square(blocks, 1.0, "<S+S->")
+    return _ladder_square(blocks, 1.0)
 
 
 def expect_splus(blocks: OverlapBlocks) -> complex:
@@ -88,10 +87,8 @@ def expect_splus(blocks: OverlapBlocks) -> complex:
 
 
 def expect_s2(blocks: OverlapBlocks) -> float:
-    """<S^2> = tr A + |<S>|^2, after the gates of <Sz^2>, <S+S-> and <S-S+>."""
-    n_alpha, n_beta, s, a = blocks._record
-    for value, what in (((n_alpha - n_beta) / 2.0, "<Sz>"), (n_alpha, "<S+S->"), (n_beta, "<S-S+>")):
-        _real(value, what)
+    """<S^2> = tr A + |<S>|^2."""
+    _, _, s, a = blocks._record
     return float(a.trace() + s @ s)
 
 
@@ -102,8 +99,7 @@ def decompose_s2(blocks: OverlapBlocks) -> S2Decomposition:
     N_beta exceeds N_alpha; all four terms are invariant under the swap.
     """
     n_alpha, n_beta, v, a = blocks._record
-    n_alpha, n_beta = _real(n_alpha, "N_alpha"), _real(n_beta, "N_beta")
-    s = abs(n_alpha - n_beta) / 2.0
+    s = abs(n_alpha.real - n_beta.real) / 2.0
     rohf_term = s * (s + 1.0)
     z_noncol = float(a[2, 2])
     contamination = float(a[0, 0] + a[1, 1]) - s

@@ -25,6 +25,7 @@ from spincol import (
     build_overlap_blocks,
     expect_s2,
     gen_random_gchf,
+    gen_rohf,
     load_determinant,
     orthonormalize,
     parse_determinant,
@@ -671,6 +672,20 @@ def test_non_finite_input_exits_one_with_typed_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert "SpincolError" in err
     assert "coeff_alpha" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "axis", "oracle-check"])
+def test_an_imaginary_occupation_fails_every_command_alike(tmp_path, capsys, command):
+    # The metric (1 + 4.9e-13i)·I passes its own Hermiticity gate and the blocks' (residuals 9.8e-13),
+    # but N_alpha = 3 (1 + 4.9e-13i) is not real to 1e-12.
+    rohf = gen_rohf(np.zeros((4, 0)), np.random.default_rng(3).standard_normal((4, 3)))
+    det = SpinorDeterminant(4, 3, rohf.coeff_alpha, rohf.coeff_beta, (1 + 4.9e-13j) * np.eye(4))
+    path = tmp_path / "imaginary.json"
+    save_determinant(det, path)
+    assert run([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: NonHermitianResult: imaginary part of N_alpha 1.470e-12 is not within 1e-12\n"
 
 
 # Finite entries whose Gram matrix overflows: entry (0, 1) sums +inf(1+i) and -inf(1+i),

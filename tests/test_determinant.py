@@ -320,6 +320,9 @@ def test_overlap_blocks_have_no_public_constructor():
     good = build_overlap_blocks(gen_random_gchf(2, 2, seed=1))
     with pytest.raises(TypeError):
         OverlapBlocks(good.o_aa, good.o_ab, good.o_bb)
+    # Not even an empty object, whose first read would fail untyped.
+    with pytest.raises(TypeError, match="build_overlap_blocks"):
+        OverlapBlocks()
 
 
 _RAGGED = [[1.0], [0.0, 1.0]]
@@ -434,8 +437,8 @@ def test_the_record_is_computed_once_when_first_read(monkeypatch):
     calls = _count_computations(monkeypatch, ("_record",))
     det = helpers.random_metric_determinant(5, 4, seed=11)
     blocks = build_overlap_blocks(det)
-    # Validation reads none of it.
-    assert calls == {"_record": []}
+    # Validation reads it, to gate the imaginary parts of N_alpha and N_beta; the formulas reuse it.
+    assert calls == {"_record": [id(blocks)]}
     _run_every_formula(blocks)
     assert calls == {"_record": [id(blocks)]}
 

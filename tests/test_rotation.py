@@ -472,12 +472,13 @@ def test_generators_reject_dependent_orbitals():
         (lambda: gen_rhf([[np.nan], [1.0]]), SpincolError, "^orbitals has a non-finite entry"),
         (lambda: gen_dods([[np.inf], [1.0]], [[1.0], [0.0]]), SpincolError, "^alpha_orbitals has a non-finite"),
         (lambda: gen_dods([[1.0], [0.0]], [[0.0], [-np.inf]]), SpincolError, "^beta_orbitals has a non-finite"),
-        (lambda: gen_rohf([[np.nan], [1.0]], [[0.0], [1.0]]), SpincolError, "^orbitals has a non-finite entry"),
+        (lambda: gen_rohf([[np.nan], [1.0]], [[0.0], [1.0]]), SpincolError, "^closed has a non-finite entry"),
+        (lambda: gen_rohf([[0.0], [1.0]], [[np.inf], [1.0]]), SpincolError, "^open_ has a non-finite entry"),
         # Finite entries whose Gram matrix overflows: the eigenvalue gate reports it.
         (lambda: gen_rohf([[1e200], [1.0]], [[0.0], [1.0]]), LinearlyDependent, "smallest eigenvalue nan"),
         (lambda: gen_rhf([[1e200, 1e200], [1.0, -1.0]]), LinearlyDependent, "smallest eigenvalue nan"),
     ],
-    ids=["nan-rhf", "inf-dods-alpha", "inf-dods-beta", "nan-rohf", "overflow-rohf", "overflow-rhf"],
+    ids=["nan-rhf", "inf-dods-alpha", "inf-dods-beta", "nan-rohf", "inf-rohf-open", "overflow-rohf", "overflow-rhf"],
 )
 def test_generators_reject_non_finite_orbitals_without_a_warning(call, error, match):
     with warnings.catch_warnings():

@@ -324,15 +324,31 @@ def test_every_number_is_invariant_under_a_change_of_spatial_basis(seed, m, fill
     _assert_same_numbers(det, changed)
 
 
+def _imaginary_diagonal(block, epsilon):
+    """gen_random_gchf(3, 4, seed=6)'s blocks, unvalidated, with epsilon·i added to the diagonal of ``block``.
+
+    Its Hermiticity residual is 2·epsilon and its trace's imaginary part 4·epsilon.
+    """
+    good = build_overlap_blocks(gen_random_gchf(3, 4, seed=6))
+    arrays = {name: getattr(good, name) for name in ("o_aa", "o_ab", "o_bb")}
+    arrays[block] = arrays[block] + epsilon * 1j * np.eye(4)
+    return helpers.stack_blocks(**arrays)
+
+
 def test_imaginary_residue_raises():
-    good = build_overlap_blocks(gen_random_gchf(2, 2, seed=6))
-    corrupt = helpers.stack_blocks(good.o_aa + 1e-3j * np.eye(2), good.o_ab, good.o_bb)
-    with pytest.raises(NonHermitianResult):
-        expect_sz(corrupt)
+    # Within the Hermiticity gate (8e-13), beyond the occupation's (1.6e-12).
+    for block, name in (("o_aa", "N_alpha"), ("o_bb", "N_beta")):
+        corrupt = _imaginary_diagonal(block, 4e-13)
+        with pytest.raises(NonHermitianResult, match=f"^imaginary part of {name} 1.600e-12 is not within 1e-12$"):
+            corrupt.validate()
 
 
-def test_decomposition_rejects_imaginary_trace_above_1e_12():
-    good = build_overlap_blocks(gen_random_gchf(2, 2, seed=6))
-    corrupt = helpers.stack_blocks(good.o_aa + np.diag([1e-11j, 0.0]), good.o_ab, good.o_bb)
-    with pytest.raises(NonHermitianResult, match="N_alpha"):
-        decompose_s2(corrupt)
+def test_validate_gates_the_imaginary_trace_at_1e_12():
+    good = build_overlap_blocks(gen_random_gchf(3, 4, seed=6))
+    below = _imaginary_diagonal("o_aa", 0.24e-12)
+    below.validate()
+    # No reader gates again; each takes the real parts of N_alpha and N_beta, which the corruption left as they were.
+    assert electron_counts(below) == electron_counts(good)
+    assert decompose_s2(below).s_effective == decompose_s2(good).s_effective
+    with pytest.raises(NonHermitianResult, match="N_alpha 1.040e-12"):
+        _imaginary_diagonal("o_aa", 0.26e-12).validate()
