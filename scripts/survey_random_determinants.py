@@ -11,6 +11,7 @@ import argparse
 import numpy as np
 
 from spincol import analyze_collinearity, build_overlap_blocks, decompose_s2, gen_random_gchf
+from spincol.cli import _int_at_least
 
 
 def run_survey(args: argparse.Namespace) -> None:
@@ -41,10 +42,10 @@ def run_survey(args: argparse.Namespace) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=200, help="number of determinants")
-    parser.add_argument("--m", type=int, default=3, help="spatial basis size")
-    parser.add_argument("--ne", type=int, default=3, help="electron count")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
+    parser.add_argument("--n", type=_int_at_least(1), default=200, help="number of determinants")
+    parser.add_argument("--m", type=_int_at_least(1), default=3, help="spatial basis size")
+    parser.add_argument("--ne", type=_int_at_least(1), default=3, help="electron count")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0, help="base seed")
     run_survey(parser.parse_args())
 
 

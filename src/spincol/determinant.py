@@ -96,15 +96,7 @@ def _hermiticity_residual(block: np.ndarray) -> float:
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
-    """Raise unless every entry of the complex array ``arr`` is finite.
-
-    ||arr||² is finite whenever every entry is and the sum does not overflow,
-    and ``np.vdot`` reads ``arr`` once; only when it is not finite (a NaN, an
-    infinity, or entries above about 1e154) does the exact scan decide.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(np.vdot(arr, arr)):
-            return
+    """Raise unless every entry of ``arr`` is finite: one ``np.isfinite`` pass over it."""
     if not np.isfinite(arr).all():
         raise SpincolError(f"{name} has a non-finite entry (NaN or infinity)")
 
@@ -178,16 +170,6 @@ def _validated_metric(s, m: int) -> np.ndarray:
     return s
 
 
-def _metric_applied(coeffs: np.ndarray, metric: np.ndarray | None):
-    """Yields S @ C_alpha, then S @ C_beta, of the (2, M, Ne) ``coeffs``; the halves themselves without a metric.
-
-    S @ C_beta is made only when asked for, so S @ C_alpha can be freed
-    first; the generator keeps no product it has yielded.
-    """
-    for half in coeffs:
-        yield half if metric is None else metric @ half
-
-
 def _block_stack(coeffs: np.ndarray, metric: np.ndarray | None) -> np.ndarray:
     """[o_aa, o_ab, o_bb] of the (2, M, Ne) ``coeffs``, sealed: one metric application and three GEMMs into one stack.
 
@@ -200,10 +182,9 @@ def _block_stack(coeffs: np.ndarray, metric: np.ndarray | None) -> np.ndarray:
     ne = coeffs.shape[2]
     stack = np.empty((3, ne, ne), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        applied = _metric_applied(coeffs, metric)
         ca_h = coeffs[0].conj().T
-        np.matmul(ca_h, next(applied), out=stack[0])
-        sb = next(applied)
+        np.matmul(ca_h, coeffs[0] if metric is None else metric @ coeffs[0], out=stack[0])
+        sb = coeffs[1] if metric is None else metric @ coeffs[1]
         np.matmul(ca_h, sb, out=stack[1])
         del ca_h
         np.matmul(coeffs[1].conj().T, sb, out=stack[2])
@@ -297,7 +278,8 @@ class SpinorDeterminant:
         (:attr:`OverlapBlocks._stack`); what is read is seeded in O(1):
 
         - the record: <S>' = r <S>, A' = r A r^T and, as N_alpha + N_beta is
-          unchanged, N'_alpha and N'_beta = (N_alpha + N_beta) / 2 ± <Sz>';
+          unchanged, Re N'_alpha and Re N'_beta = Re(N_alpha + N_beta) / 2 ± <Sz>';
+          Im N'_s = |u[s, 0]|² Im N_alpha + |u[s, 1]|² Im N_beta, the cross traces being conjugates;
         - the identity deviation, as o'_aa + o'_bb = o_aa + o_bb;
         - both Hermiticity residuals as this determinant's larger one, a bound:
           o'_ss - o'_ss^H = |u[s, 0]|² (o_aa - o_aa^H) + |u[s, 1]|² (o_bb - o_bb^H),
@@ -312,8 +294,9 @@ class SpinorDeterminant:
         with np.errstate(over="ignore", invalid="ignore"):
             n_alpha, n_beta, s, a = blocks._record
             s, a = r @ s, r @ a @ r.T
-            half_n = (n_alpha + n_beta) / 2.0
-            record = _SpinRecord(half_n + s[2], half_n - s[2], s, 0.5 * (a + a.T))
+            half_n, im_n = (n_alpha + n_beta).real / 2.0, np.abs(u) ** 2 @ [n_alpha.imag, n_beta.imag]
+            n_alpha, n_beta = complex(half_n + s[2], im_n[0]), complex(half_n - s[2], im_n[1])
+            record = _SpinRecord(n_alpha, n_beta, s, 0.5 * (a + a.T))
             residual = float(np.max(list(blocks._hermiticity_residuals.values())))
         seeded = OverlapBlocks.__new__(OverlapBlocks)
         seeded.__dict__.update(

@@ -161,7 +161,10 @@ def gen_random_gchf(m: int, n_electrons: int, seed: int) -> SpinorDeterminant:
     and absorb the phases of the R diagonal into Q.
     """
     m, n_electrons = _dimensions(m, n_electrons)
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise SpincolError(f"seed must be None, a non-negative integer or a sequence of them, got {seed!r}") from None
     z = (rng.standard_normal((2 * m, 2 * m)) + 1j * rng.standard_normal((2 * m, 2 * m)))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -732,17 +732,18 @@ def test_orthonormalizing_an_overflowing_gram_names_the_overflow(tmp_path, capsy
 
 
 def test_analyze_applies_the_metric_once(tmp_path, capsys, monkeypatch):
-    # orthonormalize and the rotation both derive their blocks from the parent's.
+    # orthonormalize and the rotation both derive their blocks from the parent's. The metric is
+    # applied only in _block_stack, so one block build is one application.
     path = tmp_path / "metric.json"
     save_determinant(helpers.random_metric_determinant(4, 3, seed=2), path)
     calls = []
-    original = spincol.determinant._metric_applied
+    original = spincol.determinant._block_stack
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(spincol.determinant, "_metric_applied", counting)
+    monkeypatch.setattr(spincol.determinant, "_block_stack", counting)
     for flags in ([], ["--orthonormalize"]):
         calls.clear()
         assert run(["analyze", str(path), "--json", "--align-optimal", *flags]) == 0

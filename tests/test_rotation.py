@@ -235,6 +235,39 @@ def test_rotated_record_is_the_parent_record_mapped_by_r(kind, with_metric, seed
     assert np.max(np.abs(np.subtract(electron_counts(seeded), electron_counts(direct)))) <= bound
 
 
+def _validation_outcome(det):
+    try:
+        build_overlap_blocks(det)
+    except SpincolError as error:
+        return f"{type(error).__name__}: {error}"
+    return "valid"
+
+
+@pytest.mark.parametrize(
+    "axis, angle, im_n",
+    [([1, 0, 0], 0.0, "N_alpha 1.470e-12"), ([1, 0, 0], 1e-3, "N_alpha 1.470e-12"),
+     ([1, 0, 0], 0.5, "N_alpha 1.380e-12"), ([1, 0, 0], 1.3, None), ([1, 0, 0], np.pi, "N_beta 1.470e-12"),
+     ([0, 0, 1], 2.0, "N_alpha 1.470e-12"), ([0.6, 0.8, 0], 1.0, "N_alpha 1.132e-12")],
+    ids=["x-0", "x-1e-3", "x-0.5", "x-1.3", "x-pi", "z-2", "xy-1"],
+)
+def test_a_rotation_passes_validation_exactly_when_a_fresh_copy_does(axis, angle, im_n):
+    # The metric (1 + 4.9e-13i)·I leaves Im N_alpha = 1.47e-12, over the 1e-12 gate, and
+    # Im N_beta = 0. A rotation moves that residue between the occupations by |u[s, t]|²:
+    # about x by 0 it stays on N_alpha, by pi it moves wholly to N_beta. Seeding both with
+    # its average would pass determinants a fresh build rejects.
+    rohf = gen_rohf(np.zeros((4, 0)), np.random.default_rng(3).standard_normal((4, 3)))
+    det = SpinorDeterminant(4, 3, rohf.coeff_alpha, rohf.coeff_beta, (1 + 4.9e-13j) * np.eye(4))
+    rotated = su2_rotate(det, SpinRotation(axis, angle))
+    outcome = _validation_outcome(rotated)
+    fresh = SpinorDeterminant(4, 3, rotated.coeff_alpha, rotated.coeff_beta, np.array(det.ao_overlap))
+    assert outcome == _validation_outcome(fresh)
+    assert outcome == ("valid" if im_n is None else f"NonHermitianResult: imaginary part of {im_n} is not within 1e-12")
+    blocks = rotated._blocks
+    n_alpha, n_beta = blocks._record[:2]
+    assert abs(n_alpha.imag - np.trace(blocks.o_aa).imag) <= 1e-15
+    assert abs(n_beta.imag - np.trace(blocks.o_bb).imag) <= 1e-15
+
+
 @pytest.mark.parametrize("kind", sorted(CLASSES))
 @pytest.mark.parametrize("with_metric", [False, True], ids=["identity", "metric"])
 @pytest.mark.parametrize("seed", range(3))
@@ -331,7 +364,8 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 def test_metric_is_diagonalized_and_applied_once(monkeypatch):
     eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
-    applied = _count_calls(monkeypatch, spincol.determinant, "_metric_applied")
+    # The metric is applied only in _block_stack, so one block build is one application.
+    applied = _count_calls(monkeypatch, spincol.determinant, "_block_stack")
     rng = np.random.default_rng(3)
     det = helpers.over_metric(gen_random_gchf(5, 3, seed=3), helpers.random_pd_metric(rng, 5))
     for _ in range(3):
@@ -456,6 +490,11 @@ def test_gen_random_gchf_deterministic():
     b = gen_random_gchf(3, 2, seed=123)
     assert np.array_equal(a.coeff_alpha, b.coeff_alpha)
     assert np.array_equal(a.coeff_beta, b.coeff_beta)
+
+
+@pytest.mark.parametrize("seed", [None, [1, 2], (3,), 2**70], ids=["none", "list", "tuple", "big"])
+def test_gen_random_gchf_accepts_every_seed_numpy_does(seed):
+    assert build_overlap_blocks(gen_random_gchf(3, 2, seed)).n_electrons == 2
 
 
 def test_generators_reject_dependent_orbitals():
