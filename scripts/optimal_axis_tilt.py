@@ -8,8 +8,10 @@ redistribute with the new frame.
 """
 
 import argparse
+import sys
 
 from spincol import (
+    SpincolError,
     align_to_axis,
     analyze_collinearity,
     build_overlap_blocks,
@@ -17,6 +19,7 @@ from spincol import (
     gen_random_gchf,
     load_determinant,
 )
+from spincol.cli import _int_at_least
 
 
 def _print_decomposition(title, d):
@@ -49,14 +52,20 @@ def run_tilt(args: argparse.Namespace) -> None:
     _print_decomposition("\nafter tilting (optimal axis as z):", decompose_s2(build_overlap_blocks(tilted)))
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--input", help="determinant file; omit to use a random one")
-    parser.add_argument("--m", type=int, default=3, help="spatial basis size (random mode)")
-    parser.add_argument("--ne", type=int, default=3, help="electron count (random mode)")
-    parser.add_argument("--seed", type=int, default=7, help="seed (random mode)")
-    run_tilt(parser.parse_args())
+    parser.add_argument("--m", type=_int_at_least(1), default=3, help="spatial basis size (random mode)")
+    parser.add_argument("--ne", type=_int_at_least(1), default=3, help="electron count (random mode)")
+    parser.add_argument("--seed", type=_int_at_least(0), default=7, help="seed (random mode)")
+    args = parser.parse_args()
+    try:
+        run_tilt(args)
+    except SpincolError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

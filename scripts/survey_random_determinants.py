@@ -7,10 +7,11 @@ quantization axis would remove.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from spincol import analyze_collinearity, build_overlap_blocks, decompose_s2, gen_random_gchf
+from spincol import SpincolError, analyze_collinearity, build_overlap_blocks, decompose_s2, gen_random_gchf
 from spincol.cli import _int_at_least
 
 
@@ -40,14 +41,20 @@ def run_survey(args: argparse.Namespace) -> None:
           f"mean {reduction.mean():.6f}, max {reduction.max():.6f}")
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=_int_at_least(1), default=200, help="number of determinants")
     parser.add_argument("--m", type=_int_at_least(1), default=3, help="spatial basis size")
     parser.add_argument("--ne", type=_int_at_least(1), default=3, help="electron count")
     parser.add_argument("--seed", type=_int_at_least(0), default=0, help="base seed")
-    run_survey(parser.parse_args())
+    args = parser.parse_args()
+    try:
+        run_survey(args)
+    except SpincolError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -26,6 +26,7 @@ The 3x3 eigenproblem goes to ``np.linalg.eigh``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ def _check_unit(u) -> np.ndarray:
     u = _numbers(u, "direction", NotUnitVector, real=True).astype(float, copy=False)
     if u.shape != (3,):
         raise NotUnitVector(f"direction must be a 3-vector, got shape {u.shape}")
-    norm = float(np.linalg.norm(u))
+    norm = math.sqrt(u.dot(u))
     check_within(abs(norm - 1.0), UNIT_VECTOR_TOL, "direction |norm - 1|", NotUnitVector)
     return u
 
@@ -113,10 +114,9 @@ def col_along(blocks: OverlapBlocks, u) -> float:
     return float(u @ a_matrix(blocks) @ u)
 
 
-def _sign_normalize(vec: np.ndarray) -> np.ndarray:
-    if vec[np.argmax(np.abs(vec))] < 0:
-        return -vec
-    return vec
+def _sign(vec: list[float]) -> float:
+    """-1.0 if the first largest-magnitude entry of ``vec`` is negative, else 1.0."""
+    return -1.0 if max(vec, key=abs) < 0 else 1.0
 
 
 def min_collinearity(a) -> CollinearityResult:
@@ -139,28 +139,29 @@ def min_collinearity(a) -> CollinearityResult:
     if a.shape != (3, 3):
         raise NotSymmetric(f"expected a 3x3 matrix, got shape {a.shape}")
     # A non-finite entry makes the asymmetry NaN, which fails the gate.
-    check_within(np.max(np.abs(a - a.T)), SYMMETRY_TOL, "matrix asymmetry", NotSymmetric)
+    check_within(np.abs(a - a.T).max(), SYMMETRY_TOL, "matrix asymmetry", NotSymmetric)
     sym = 0.5 * (a + a.T)
     values, vectors = np.linalg.eigh(sym)
-    for k in range(3):
-        vectors[:, k] = _sign_normalize(vectors[:, k])
-    degenerate = bool(values[1] - values[0] < DEGENERACY_GAP)
+    vectors *= [_sign(column) for column in vectors.T.tolist()]
+    lowest, second, _ = values.tolist()
+    degenerate = second - lowest < DEGENERACY_GAP
     if degenerate:
-        cluster = vectors[:, values - values[0] < DEGENERACY_GAP]
+        cluster = vectors[:, values - lowest < DEGENERACY_GAP]
         # Column k is the projection of e_k onto the lowest eigenspace.
         projector = cluster @ cluster.T
         k = next((k for k in (2, 0) if np.linalg.norm(projector[:, k]) > PROJECTION_FLOOR), 1)
-        axis = _sign_normalize(projector[:, k] / np.linalg.norm(projector[:, k]))
+        axis = projector[:, k] / np.linalg.norm(projector[:, k])
+        axis *= _sign(axis.tolist())
     else:
-        axis = vectors[:, 0]
-    return CollinearityResult(
-        a_matrix=sym,
-        eigenvalues=values,
-        eigenvectors=vectors,
-        col=float(values[0]),
-        optimal_axis=axis,
-        degenerate=degenerate,
+        axis = vectors[:, 0].copy()
+    # Every array here is new, so it is frozen in place instead of copied by __post_init__.
+    result = CollinearityResult.__new__(CollinearityResult)
+    result.__dict__.update(
+        a_matrix=sym, eigenvalues=values, eigenvectors=vectors, col=lowest, optimal_axis=axis, degenerate=degenerate
     )
+    for arr in (sym, values, vectors, axis):
+        arr.setflags(write=False)
+    return result
 
 
 def analyze_collinearity(blocks: OverlapBlocks) -> CollinearityResult:

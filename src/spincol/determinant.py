@@ -122,11 +122,15 @@ def _checked_owner(owner: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray
 def _shared_buffer(ca: np.ndarray, cb: np.ndarray) -> np.ndarray | None:
     """The recorded, still read-only (2, M, Ne) buffer whose halves are ``ca`` and ``cb``, or None."""
     owner = ca.base
-    if owner is None or _CHECKED.get(id(owner)) is not owner or owner.flags.writeable or owner.size != 2 * ca.size:
+    if owner is None or cb.base is not owner or _CHECKED.get(id(owner)) is not owner or owner.flags.writeable:
         return None
-    buf = owner.reshape(2, *ca.shape)
-    halves = (ca.__array_interface__, cb.__array_interface__)
-    return buf if halves == (buf[0].__array_interface__, buf[1].__array_interface__) else None
+    # Views of the owner lie inside it, so two C-ordered arrays of its dtype, of one shape and half
+    # its size, that start ca.nbytes apart are its first and second half.
+    halves = ca.flags.c_contiguous and cb.flags.c_contiguous and cb.shape == ca.shape
+    if not (halves and ca.dtype == cb.dtype == owner.dtype and owner.nbytes == 2 * ca.nbytes):
+        return None
+    start = ca.__array_interface__["data"][0]
+    return owner.reshape(2, *ca.shape) if cb.__array_interface__["data"][0] == start + ca.nbytes else None
 
 
 def _rotated_coefficients(u: np.ndarray, parent: np.ndarray) -> np.ndarray:
@@ -294,10 +298,12 @@ class SpinorDeterminant:
         with np.errstate(over="ignore", invalid="ignore"):
             n_alpha, n_beta, s, a = blocks._record
             s, a = r @ s, r @ a @ r.T
-            half_n, im_n = (n_alpha + n_beta).real / 2.0, np.abs(u) ** 2 @ [n_alpha.imag, n_beta.imag]
-            n_alpha, n_beta = complex(half_n + s[2], im_n[0]), complex(half_n - s[2], im_n[1])
+            half_n, s_z = (n_alpha + n_beta).real / 2.0, s.item(2)
+            im_alpha, im_beta = (np.abs(u) ** 2 @ [n_alpha.imag, n_beta.imag]).tolist()
+            n_alpha, n_beta = complex(half_n + s_z, im_alpha), complex(half_n - s_z, im_beta)
             record = _SpinRecord(n_alpha, n_beta, s, 0.5 * (a + a.T))
-            residual = float(np.max(list(blocks._hermiticity_residuals.values())))
+            # np.maximum carries a NaN through, where Python's max may drop it.
+            residual = float(np.maximum(*blocks._hermiticity_residuals.values()))
         seeded = OverlapBlocks.__new__(OverlapBlocks)
         seeded.__dict__.update(
             n_electrons=self.n_electrons,

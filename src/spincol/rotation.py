@@ -20,11 +20,6 @@ from .collinearity import _check_unit
 from .determinant import SpinorDeterminant, _check_finite, _dimensions, _inverse_sqrt, _numbers
 from .errors import DimensionMismatch, SpincolError
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class SpinRotation:
     """Rotation of the spin frame by ``angle`` radians about unit ``axis``."""
@@ -45,18 +40,30 @@ class SpinRotation:
         object.__setattr__(self, "angle", angle)
 
     def su2(self) -> np.ndarray:
-        """The 2x2 unitary cos(t/2) I - i sin(t/2) (n . sigma), det = 1."""
+        """The 2x2 unitary cos(t/2) I - i sin(t/2) (n . sigma), det = 1, entry by entry.
+
+        ``o`` and the ``0.0 -`` terms give a zero entry the sign the matrix form
+        gives it, as long as cos(t/2) > 0.
+        """
         half = 0.5 * self.angle
-        n = self.axis
-        n_dot_sigma = n[0] * _SIGMA_X + n[1] * _SIGMA_Y + n[2] * _SIGMA_Z
-        return np.cos(half) * np.eye(2, dtype=complex) - 1.0j * np.sin(half) * n_dot_sigma
+        c, s = float(np.cos(half)), float(np.sin(half))
+        x, y, z = self.axis.tolist()
+        o = c * 0.0
+        return np.array([[complex(c, 0.0 - s * z), complex(o - s * y, 0.0 - s * x)],
+                         [complex(o + s * y, 0.0 - s * x), complex(c, 0.0 + s * z)]])
 
     def so3(self) -> np.ndarray:
-        """The matching 3x3 rotation (Rodrigues form)."""
-        n = self.axis
-        c, s = np.cos(self.angle), np.sin(self.angle)
-        cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-        return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(n, n)
+        """The matching 3x3 rotation (Rodrigues form), c δ_ij + s [n]x_ij + (1 - c) n_i n_j entry by entry.
+
+        ``o`` is c·0, the identity's off-diagonal term, kept so that every
+        entry, a zero's sign included, is that of c I + s [n]x + (1 - c) n n^T.
+        """
+        x, y, z = self.axis.tolist()
+        c, s = float(np.cos(self.angle)), float(np.sin(self.angle))
+        k, o = 1.0 - c, c * 0.0
+        return np.array([[c + k * (x * x), o - s * z + k * (x * y), o + s * y + k * (x * z)],
+                         [o + s * z + k * (y * x), c + k * (y * y), o - s * x + k * (y * z)],
+                         [o - s * y + k * (z * x), o + s * x + k * (z * y), c + k * (z * z)]])
 
 
 def su2_rotate(det: SpinorDeterminant, rot: SpinRotation) -> SpinorDeterminant:
@@ -85,9 +92,9 @@ def align_to_axis(det: SpinorDeterminant, u) -> SpinorDeterminant:
     After alignment the z-noncollinearity of the result equals the original
     col(u).
     """
-    u = _check_unit(u)
-    theta = np.arctan2(np.hypot(u[0], u[1]), u[2])
-    phi = np.arctan2(u[1], u[0])
+    x, y, z = _check_unit(u).tolist()
+    theta = np.arctan2(np.hypot(x, y), z)
+    phi = np.arctan2(y, x)
     return su2_rotate(det, SpinRotation(np.array([np.sin(phi), -np.cos(phi), 0.0]), theta))
 
 

@@ -83,7 +83,7 @@ def expect_splus_sminus(blocks: OverlapBlocks) -> float:
 def expect_splus(blocks: OverlapBlocks) -> complex:
     """<S+> = sum_i <phi_i^alpha | phi_i^beta> = <Sx> + i <Sy>; its squared modulus is the xy-perpendicularity."""
     s = blocks._record.s
-    return complex(s[0], s[1])
+    return complex(s.item(0), s.item(1))
 
 
 def expect_s2(blocks: OverlapBlocks) -> float:
@@ -101,9 +101,10 @@ def decompose_s2(blocks: OverlapBlocks) -> S2Decomposition:
     n_alpha, n_beta, v, a = blocks._record
     s = abs(n_alpha.real - n_beta.real) / 2.0
     rohf_term = s * (s + 1.0)
-    z_noncol = float(a[2, 2])
-    contamination = float(a[0, 0] + a[1, 1]) - s
-    perpendicularity = float(v[0] * v[0] + v[1] * v[1])
+    z_noncol = a.item(2, 2)
+    contamination = (a.item(0, 0) + a.item(1, 1)) - s
+    v_x, v_y = v.item(0), v.item(1)
+    perpendicularity = v_x * v_x + v_y * v_y
     return S2Decomposition(
         s_effective=s,
         rohf_term=rohf_term,

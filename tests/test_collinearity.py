@@ -28,6 +28,7 @@ from spincol import (
     spin_vector,
     su2_rotate,
 )
+from spincol.collinearity import _sign
 from spincol.reference import H2OPLUS_A_MATRIX, H2OPLUS_COL, H2OPLUS_OPTIMAL_AXIS
 
 X, Y, Z = np.eye(3)
@@ -269,6 +270,59 @@ def test_xy_plane_cluster_falls_through_to_x(seed):
     result = min_collinearity(0.5 * (a + a.T))
     assert result.degenerate
     assert np.max(np.abs(result.optimal_axis - X)) < 1e-12
+
+
+def _former_sign_normalize(vec):
+    return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
+
+
+def _former_min_collinearity(a):
+    """min_collinearity's fields as its former numpy loop made them: one sign flip per column, then copies."""
+    sym = 0.5 * (a + a.T)
+    values, vectors = np.linalg.eigh(sym)
+    for k in range(3):
+        vectors[:, k] = _former_sign_normalize(vectors[:, k])
+    degenerate = bool(values[1] - values[0] < 1e-10)
+    if degenerate:
+        cluster = vectors[:, values - values[0] < 1e-10]
+        projector = cluster @ cluster.T
+        k = next((k for k in (2, 0) if np.linalg.norm(projector[:, k]) > 1e-8), 1)
+        axis = _former_sign_normalize(projector[:, k] / np.linalg.norm(projector[:, k]))
+    else:
+        axis = vectors[:, 0]
+    return [np.array(x, dtype=float) for x in (sym, values, vectors, axis)], float(values[0]), degenerate
+
+
+def _former_cases():
+    rng = np.random.default_rng(41)
+    # Eigenvectors (1, -1, 0)/sqrt(2), (1, 1, 0)/sqrt(2) and z: |x| and |y| tie.
+    q = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(2.0)]]) / np.sqrt(2.0)
+    tied = q @ np.diag([0.3, 0.7, 0.5]) @ q.T
+    cases = [np.zeros((3, 3)), np.eye(3), np.diag([1.0, 1.0, 2.0]), np.diag([2.0, 1.0, 1.0]),
+             np.diag([1.0, 2.0, 1.0]), np.diag([0.25, 0.25, 0.25 + 1e-11]), tied]
+    for _ in range(100):
+        x = rng.standard_normal((3, 3))
+        v = rng.standard_normal((3, 1))
+        cases += [x + x.T, v @ v.T]
+    return cases
+
+
+def test_the_sign_rule_takes_the_first_largest_magnitude_entry():
+    ties = [(1.0, -1.0, 0.0), (-1.0, 1.0, 0.0), (0.0, -1.0, 1.0), (-1.0, 1.0, -1.0), (1.0, -1.0, 1.0), (-0.0, 0.0, -1.0)]
+    for vec in (np.array(t) / np.linalg.norm(t) for t in ties):
+        assert (_sign(vec.tolist()) * vec).tobytes() == _former_sign_normalize(vec).tobytes(), vec
+
+
+def test_min_collinearity_keeps_every_bit_of_the_former_sign_loop():
+    for a in _former_cases():
+        result = min_collinearity(a)
+        arrays, col, degenerate = _former_min_collinearity(a)
+        fields = (result.a_matrix, result.eigenvalues, result.eigenvectors, result.optimal_axis)
+        for value, former in zip(fields, arrays):
+            assert value.tobytes() == former.tobytes() and value.flags.c_contiguous == former.flags.c_contiguous
+            assert not value.flags.writeable
+        assert (result.col, result.degenerate) == (col, degenerate)
+        assert type(result.col) is float and type(result.degenerate) is bool
 
 
 @settings(max_examples=60, deadline=None)

@@ -929,6 +929,30 @@ def test_derived_determinants_share_their_buffer_without_a_copy():
             assert not np.shares_memory(copied.stacked(), ca)
 
 
+def _views_that_are_not_the_halves(case):
+    """(M, Ne, alpha, beta): sealed views of one recorded buffer that come close to being its two halves."""
+    if case == "transposed":
+        # M = Ne: the right shape and start, but F-ordered.
+        det = gen_random_gchf(3, 3, seed=16)
+        return 3, 3, det.coeff_alpha.T, det.coeff_beta.T
+    flat = gen_random_gchf(3, 4, seed=17).stacked().reshape(-1)
+    if case == "other Ne":
+        # C-ordered (3, 2) blocks, ca.nbytes apart, each a quarter of an Ne = 4 buffer.
+        return 3, 2, flat[:6].reshape(3, 2), flat[6:12].reshape(3, 2)
+    # Real (4, 6) blocks over the first and second half of the complex buffer's bytes.
+    reals = flat.view(np.float64)
+    return 4, 6, reals[:24].reshape(4, 6), reals[24:].reshape(4, 6)
+
+
+@pytest.mark.parametrize("case", ["transposed", "other Ne", "float view"])
+def test_views_of_a_recorded_buffer_that_are_not_its_halves_are_copied(case):
+    m, ne, ca, cb = _views_that_are_not_the_halves(case)
+    assert ca.base is cb.base and not ca.base.flags.writeable
+    det = SpinorDeterminant(m, ne, ca, cb)
+    assert not np.shares_memory(det.stacked(), ca.base)
+    assert np.array_equal(det.coeff_alpha, ca) and np.array_equal(det.coeff_beta, cb)
+
+
 def test_copied_and_unpickled_determinants_are_frozen_with_one_buffer():
     det = helpers.random_metric_determinant(4, 3, seed=15)
     for clone in (copy.copy(det), copy.deepcopy(det), pickle.loads(pickle.dumps(det))):

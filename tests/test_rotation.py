@@ -12,6 +12,7 @@ import spincol.determinant
 from spincol import (
     DimensionMismatch,
     LinearlyDependent,
+    NonHermitianResult,
     NotUnitVector,
     SpincolError,
     SpinorDeterminant,
@@ -51,6 +52,109 @@ def test_su2_matrix_is_special_unitary(seed, angle):
     r = rot.so3()
     assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+
+_SIGMA = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def _former_so3(n, t):
+    """The Rodrigues matrix in numpy's matrix form, c I + s [n]x + (1 - c) n n^T."""
+    c, s = np.cos(t), np.sin(t)
+    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(n, n)
+
+
+def _former_su2(n, t):
+    """cos(t/2) I - i sin(t/2) n . sigma in numpy's matrix form."""
+    n_dot_sigma = n[0] * _SIGMA[0] + n[1] * _SIGMA[1] + n[2] * _SIGMA[2]
+    return np.cos(0.5 * t) * np.eye(2, dtype=complex) - 1.0j * np.sin(0.5 * t) * n_dot_sigma
+
+
+def _axis_angle_cases():
+    rng = np.random.default_rng(31)
+    cases = [(helpers.random_unit_vector(rng), rng.uniform(-7.0, 7.0)) for _ in range(2000)]
+    poles = [sign * axis for axis in np.eye(3) for sign in (1.0, -1.0)]
+    tilted = [np.array([0.6, 0.0, 0.8]), np.array([0.0, -0.6, 0.8]), np.array([0.6, -0.8, 0.0])]
+    angles = (0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, 0.7, -2.5, 4.0)
+    return cases + [(axis, t) for axis in poles + tilted for t in angles]
+
+
+def test_so3_and_su2_are_their_matrix_forms():
+    # Both are built entry by entry from Python floats.  so3 keeps every bit of the matrix form,
+    # the sign of each zero included; su2 keeps each value, and each zero's sign while cos(t/2) > 0
+    # (every rotation align_to_axis makes), but at cos(t/2) < 0 and an axis with a zero component
+    # the real part of an off-diagonal zero may differ in sign.
+    for axis, t in _axis_angle_cases():
+        rot = SpinRotation(axis, t)
+        assert rot.so3().tobytes() == _former_so3(rot.axis, t).tobytes(), (axis, t)
+        u, former = rot.su2(), _former_su2(rot.axis, t)
+        assert np.array_equal(u, former), (axis, t)
+        if np.cos(0.5 * t) > 0:
+            assert u.tobytes() == former.tobytes(), (axis, t)
+
+
+def _former_seeded_record(blocks, u, r):
+    """The record a rotation by (u, r) seeds, in the numpy forms it was first written in."""
+    n_alpha, n_beta, s, a = blocks._record
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, a = r @ s, r @ a @ r.T
+        half_n, im_n = (n_alpha + n_beta).real / 2.0, np.abs(u) ** 2 @ [n_alpha.imag, n_beta.imag]
+        n_alpha, n_beta = complex(half_n + s[2], im_n[0]), complex(half_n - s[2], im_n[1])
+        residual = float(np.max(list(blocks._hermiticity_residuals.values())))
+    return n_alpha, n_beta, s, 0.5 * (a + a.T), residual
+
+
+def _bits(value):
+    return value.tobytes() if isinstance(value, np.ndarray) else np.array(value).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gchf", "dods", "imaginary", "metric"])
+def test_the_seeded_record_keeps_every_bit_of_its_former_numpy_form(kind):
+    rng = np.random.default_rng(37)
+    if kind == "gchf":
+        det = gen_random_gchf(7, 5, seed=3)
+    elif kind == "dods":
+        det = gen_dods(rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))
+    elif kind == "imaginary":
+        # Im N_alpha is 1.47e-12 here, so the |u|² weights of Im N' carry bits that show.
+        rohf = gen_rohf(np.zeros((4, 0)), rng.standard_normal((4, 3)))
+        det = SpinorDeterminant(4, 3, rohf.coeff_alpha, rohf.coeff_beta, (1 + 4.9e-13j) * np.eye(4))
+    else:
+        det = helpers.random_metric_determinant(6, 4, seed=5)
+    for axis, t in _axis_angle_cases()[::40]:
+        rot = SpinRotation(axis, t)
+        seeded = su2_rotate(det, rot)._blocks
+        n_alpha, n_beta, s, a, residual = _former_seeded_record(det._blocks, rot.su2(), rot.so3())
+        record = seeded._record
+        for value, former in zip(record, (n_alpha, n_beta, s, a)):
+            assert _bits(value) == _bits(former), (axis, t)
+        assert list(seeded._hermiticity_residuals.values()) == [residual, residual]
+
+
+@pytest.mark.parametrize("nan_in", ["o_aa", "o_bb"])
+def test_a_rotation_carries_a_nan_hermiticity_residual_through(nan_in):
+    # |1e200|² overflows, so the spinor with 1e200 and 1e200i entries gives its block an
+    # infinite diagonal and a NaN residual.  Python's max(0.0, nan) is 0.0, so a rotation
+    # seeding the larger residual that way would pass the Hermiticity gate.
+    ca = np.zeros((3, 2))
+    ca[0, 0] = 1.0
+    cb = np.zeros((3, 2), dtype=complex)
+    cb[1, 1], cb[2, 1] = 1e200, 1e200j
+    if nan_in == "o_aa":
+        ca, cb = cb, ca
+    det = SpinorDeterminant(3, 2, ca, cb)
+    # The rotation computes the parent's residuals, where overflow is not warned about.
+    seeded = su2_rotate(det, SpinRotation([1, 0, 0], 0.3))._blocks
+    other = "o_bb" if nan_in == "o_aa" else "o_aa"
+    residuals = det._blocks._hermiticity_residuals
+    assert np.isnan(residuals[nan_in]) and residuals[other] == 0.0
+    assert all(np.isnan(value) for value in seeded._hermiticity_residuals.values())
+    with pytest.raises(NonHermitianResult, match="o_aa Hermiticity residual nan is not within"):
+        seeded.validate()
 
 
 def test_zero_angle_is_identity():

@@ -56,3 +56,40 @@ def test_survey_rejects_out_of_range_counts_as_a_usage_error(args, message):
     assert proc.stdout == ""
     assert proc.stderr.splitlines()[-1].endswith(message)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--m", "0"], "argument --m: must be at least 1, got 0"),
+        (["--ne", "0"], "argument --ne: must be at least 1, got 0"),
+        (["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    ],
+    ids=["m", "ne", "seed"],
+)
+def test_tilt_rejects_out_of_range_counts_as_a_usage_error(args, message):
+    proc = _run_script("optimal_axis_tilt.py", args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(message)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args, error",
+    [
+        ("survey_random_determinants.py", ["--n", "2", "--m", "1", "--ne", "3"],
+         "error: DimensionMismatch: 3 electrons do not fit in 2 spin-orbitals"),
+        ("optimal_axis_tilt.py", ["--m", "1", "--ne", "3"],
+         "error: DimensionMismatch: 3 electrons do not fit in 2 spin-orbitals"),
+        ("optimal_axis_tilt.py", ["--input", str(ROOT / "no-such-determinant.json")], "error: ParseError: cannot read "),
+    ],
+    ids=["survey-too-many-electrons", "tilt-too-many-electrons", "tilt-missing-input"],
+)
+def test_scripts_report_a_spincol_error_as_the_cli_does(script, args, error):
+    # Before, each ended in a traceback of the exception.
+    proc = _run_script(script, args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(error)
